@@ -1,12 +1,11 @@
 /**
  * @file
- * Micro-benchmarks of the external-submission (inject) path: the
- * lock-free sharded MPMC ring vs the legacy mutex-guarded deque it
- * replaced (`InjectPolicy::useLockFreeInject` A/B), raw and
- * end-to-end. The multi-producer throughput pair is the scalability
- * story of docs/ARCHITECTURE.md "The inject path": with one
- * producer the two are comparable; from two producers up the mutex
- * queue serializes while the sharded ring scales.
+ * Micro-benchmarks of the external-submission (inject) path, raw and
+ * end-to-end. The raw benchmark pairs the lock-free MPMC ring with a
+ * bench-local mutex-guarded std::deque — the structure the ring
+ * replaced — as a reference: with one producer the two are
+ * comparable; from two producers up the mutex queue serializes while
+ * the ring scales (docs/ARCHITECTURE.md, "The inject path").
  */
 
 #include <atomic>
@@ -28,7 +27,7 @@ namespace {
  * Raw queue throughput: P producer threads push empty tasks while
  * one drainer pops until every task is through — no runtime, no
  * workers, just the queue under producer contention.
- * Args: {producers, useLockFree}.
+ * Args: {producers, useRing} — 0 runs the mutex-deque reference.
  */
 void
 benchRawInject(benchmark::State &state)
@@ -38,31 +37,25 @@ benchRawInject(benchmark::State &state)
     constexpr int kPerProducer = 4096;
     const int total = producers * kPerProducer;
 
-    // Size each shard for the full offered burst: on an
-    // oversubscribed host a producer can run a whole scheduler
-    // quantum ahead of the drainer, and a ring smaller than the
-    // burst would measure the spill mutex instead of the ring.
-    runtime::InjectPolicy policy;
-    policy.shardCapacity = kPerProducer;
-
     for (auto _ : state) {
-        // The legacy side is the exact pre-replacement structure: a
-        // mutex around a std::deque, every producer and the drainer
-        // serializing on it.
+        // The reference side: a mutex around a std::deque, every
+        // producer and the drainer serializing on it.
         std::mutex legacy_mutex;
         std::deque<runtime::Task> legacy;
-        runtime::InjectQueue queue(policy,
-                                   static_cast<unsigned>(producers));
+        // Size the ring for the full offered burst: on an
+        // oversubscribed host a producer can run a whole scheduler
+        // quantum ahead of the drainer, and a ring smaller than the
+        // burst would measure the spill mutex instead of the ring.
+        runtime::InjectQueue queue(static_cast<size_t>(total));
 
         std::atomic<int> drained{0};
         std::vector<std::thread> threads;
         for (int p = 0; p < producers; ++p) {
-            threads.emplace_back([&, p] {
+            threads.emplace_back([&] {
                 for (int k = 0; k < kPerProducer; ++k) {
                     runtime::Task t([] {}, nullptr);
                     if (lock_free) {
-                        queue.push(std::move(t),
-                                   static_cast<unsigned>(p));
+                        queue.push(std::move(t));
                     } else {
                         std::lock_guard<std::mutex> lock(
                             legacy_mutex);
@@ -77,7 +70,7 @@ benchRawInject(benchmark::State &state)
                    < total) {
                 bool got = false;
                 if (lock_free) {
-                    got = queue.tryPop(out, 0)
+                    got = queue.tryPop(out)
                         != runtime::InjectQueue::PopSource::None;
                 } else {
                     std::lock_guard<std::mutex> lock(legacy_mutex);
@@ -105,23 +98,19 @@ benchRawInject(benchmark::State &state)
  * drive tasks through `TaskGroup::run` → `Runtime::inject` into a
  * worker pool that drains them — the full entry path including the
  * Dekker publish and wake notifications.
- * Args: {producers, useLockFree}.
+ * Arg: producers.
  */
 void
 benchSubmitThroughput(benchmark::State &state)
 {
     const int producers = static_cast<int>(state.range(0));
-    const bool lock_free = state.range(1) != 0;
     constexpr int kPerProducer = 2048;
 
     runtime::RuntimeConfig cfg;
     cfg.numWorkers = 2;
-    cfg.inject.useLockFreeInject = lock_free;
     // Absorb a worst-case burst (every producer a full quantum ahead
-    // of the workers, all landing in one shard on single-domain
-    // hosts) without spilling; see benchRawInject.
-    cfg.inject.shardCapacity =
-        static_cast<size_t>(producers) * kPerProducer;
+    // of the workers) without spilling; see benchRawInject.
+    cfg.injectCapacity = static_cast<size_t>(producers) * kPerProducer;
     runtime::Runtime rt(cfg);
 
     std::atomic<uint64_t> sink{0};
@@ -155,19 +144,16 @@ benchSubmitThroughput(benchmark::State &state)
 
 } // namespace
 
-// Args: {producers, useLockFree}; each producer count is an A/B
-// pair — the acceptance check is lock-free >= mutex throughput from
-// 2 producers up. UseRealTime: producer threads block and join
+// Args: {producers, useRing}; each producer count pairs the ring
+// with the mutex-deque reference — the ring should match or beat it
+// from 2 producers up. UseRealTime: producer threads block and join
 // outside the calling thread's CPU time.
 BENCHMARK(benchRawInject)
     ->Args({1, 0})->Args({1, 1})
     ->Args({2, 0})->Args({2, 1})
     ->Args({4, 0})->Args({4, 1})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(benchSubmitThroughput)
-    ->Args({1, 0})->Args({1, 1})
-    ->Args({2, 0})->Args({2, 1})
-    ->Args({4, 0})->Args({4, 1})
+BENCHMARK(benchSubmitThroughput)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 BENCHMARK_MAIN();

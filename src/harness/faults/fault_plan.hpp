@@ -24,7 +24,7 @@
  *    t = `stall.atSec` (scheduled by the serve sampler thread, which
  *    doubles as the watchdog that detects it);
  *  - forced inject-ring spill: the scenario layer shrinks the inject
- *    ring's shard capacity so submissions exercise the mutex
+ *    ring's capacity so submissions exercise the mutex
  *    spillover path under load.
  *
  * Stream layout: request r draws from stream `kFaultStreamTag + r`,

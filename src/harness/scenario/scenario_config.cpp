@@ -228,8 +228,6 @@ readRuntime(const JsonValue &v, const std::string &pointer,
 {
     ObjectReader r(v, pointer, diags);
     r.getInt("workers", out.workers, 1, 256);
-    r.getEnum("deque", out.dequeImpl, {"chaselev", "the"});
-    r.getBool("lock_free_inject", out.lockFreeInject);
     r.getBool("steal_half", out.stealHalf);
     r.getInt("locality_rounds", out.localityRounds, 0, 16);
     r.getBool("adaptive_locality", out.adaptiveLocality);
@@ -661,9 +659,6 @@ runtimeBodyJson(const RuntimePolicy &r, const std::string &ind)
     std::ostringstream out;
     out << "{\n"
         << in2 << "\"workers\": " << r.workers << ",\n"
-        << in2 << "\"deque\": \"" << r.dequeImpl << "\",\n"
-        << in2 << "\"lock_free_inject\": "
-        << (r.lockFreeInject ? "true" : "false") << ",\n"
         << in2 << "\"steal_half\": "
         << (r.stealHalf ? "true" : "false") << ",\n"
         << in2 << "\"locality_rounds\": " << r.localityRounds

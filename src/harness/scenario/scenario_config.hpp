@@ -44,8 +44,6 @@ const char *toString(ScenarioKind kind);
 struct RuntimePolicy
 {
     unsigned workers = 2;
-    std::string dequeImpl = "chaselev"; ///< "chaselev" | "the"
-    bool lockFreeInject = true;  ///< false = legacy mutex inject
     bool stealHalf = true;
     unsigned localityRounds = 1;
     bool adaptiveLocality = false;

@@ -61,10 +61,6 @@ makeRuntimeConfig(const ScenarioConfig &c)
     rc.numWorkers = c.runtime.workers;
     rc.profile = platform::profileByName(c.profile);
     rc.seed = c.seed;
-    rc.deque.impl = c.runtime.dequeImpl == "the"
-        ? runtime::DequeImpl::The
-        : runtime::DequeImpl::ChaseLev;
-    rc.inject.useLockFreeInject = c.runtime.lockFreeInject;
     rc.stealPolicy.stealHalf = c.runtime.stealHalf;
     rc.stealPolicy.localityRounds = c.runtime.localityRounds;
     rc.stealPolicy.adaptiveLocality = c.runtime.adaptiveLocality;
@@ -72,10 +68,10 @@ makeRuntimeConfig(const ScenarioConfig &c)
     rc.parkThreshold = c.runtime.parkThreshold;
     rc.enableTempo = c.dvfs.tempo;
     rc.tempo.policy = tempoPolicyByName(c.dvfs.policy);
-    // Chaos fault site: shrink the inject ring shards so sustained
-    // load trips the spillover path (docs/RESILIENCE.md).
+    // Chaos fault site: shrink the inject ring so sustained load
+    // trips the spillover path (docs/RESILIENCE.md).
     if (c.faults.enabled && c.faults.forceSpill)
-        rc.inject.shardCapacity = 8;
+        rc.injectCapacity = 8;
     return rc;
 }
 
@@ -629,10 +625,7 @@ writeScenarioBundle(const std::string &dir,
             << "- kind: `" << toString(result.config.kind)
             << "`, seed " << result.config.seed << ", "
             << result.config.runtime.workers << " workers\n"
-            << "- deque `" << result.config.runtime.dequeImpl
-            << "`, lock-free inject "
-            << (result.config.runtime.lockFreeInject ? "on" : "off")
-            << ", steal-half "
+            << "- steal-half "
             << (result.config.runtime.stealHalf ? "on" : "off")
             << ", locality rounds "
             << result.config.runtime.localityRounds << ", tempo "

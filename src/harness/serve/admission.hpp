@@ -13,7 +13,7 @@
  *
  * Hysteresis (enter shedding at highWatermark, leave at lowWatermark)
  * prevents flapping when the backlog hovers near a single threshold;
- * a spill event (ring shards full) optionally trips shedding
+ * a spill event (ring full) optionally trips shedding
  * immediately, since spilling is the runtime's own signal that the
  * inject fast path is saturated.
  */

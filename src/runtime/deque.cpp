@@ -7,8 +7,7 @@
 
 namespace hermes::runtime {
 
-WsDeque::WsDeque(size_t capacity_pow2, DequePolicy policy)
-    : impl_(policy.impl)
+WsDeque::WsDeque(size_t capacity_pow2)
 {
     const size_t cap =
         std::bit_ceil(std::max<size_t>(2, capacity_pow2));
@@ -57,11 +56,9 @@ bool
 WsDeque::push(Task &&t, size_t &size_after)
 {
     const int64_t tail = tail_.load(std::memory_order_relaxed);
-    // One slot of the ring is sacrificed: under THE an in-flight
-    // steal claims the head index before moving the task out, so the
-    // owner must never wrap onto the slot one lap behind the head;
-    // under Chase-Lev the same margin means any wrap-around
-    // overwrite implies the head already passed the slot, so a thief
+    // One slot of the ring is sacrificed: the margin means any
+    // wrap-around overwrite implies the head already passed the
+    // slot, so a thief
     // whose pre-CAS copy the overwrite tore is guaranteed to fail
     // its claiming CAS and discard the bytes. (The acquire head read
     // can only lag the true head, which makes the full check
@@ -85,13 +82,6 @@ WsDeque::push(Task &&t, size_t &size_after)
 
 bool
 WsDeque::pop(Task &out, size_t &size_after)
-{
-    return impl_ == DequeImpl::ChaseLev ? popChaseLev(out, size_after)
-                                        : popThe(out, size_after);
-}
-
-bool
-WsDeque::popChaseLev(Task &out, size_t &size_after)
 {
     // Empty fast path: the owner's own tail is exact, and a stale
     // (lagging) head can only overestimate the size — a truly empty
@@ -142,44 +132,7 @@ WsDeque::popChaseLev(Task &out, size_t &size_after)
 }
 
 bool
-WsDeque::popThe(Task &out, size_t &size_after)
-{
-    // Optimistic THE pop: retract the tail first, then look at the
-    // head. If the retracted slot might also be a thief's target
-    // (head caught up), restore and retry once under the lock, where
-    // thieves cannot move the head concurrently.
-    int64_t t = tail_.load() - 1;
-    tail_.store(t);
-    int64_t h = head_.load();
-    if (h > t) {
-        tail_.store(t + 1);
-        std::lock_guard<std::mutex> guard(lock_);
-        t = tail_.load() - 1;
-        tail_.store(t);
-        h = head_.load();
-        if (h > t) {
-            // Plain-empty and lost-the-last-task are not
-            // distinguishable here without extra state, so the THE
-            // replay leaves popCasLosses_ at 0 (see deque.hpp).
-            tail_.store(t + 1);
-            return false;
-        }
-    }
-    out = Task::adopt(loadSlot(t));
-    size_after = static_cast<size_t>(t - head_.load());
-    return true;
-}
-
-bool
 WsDeque::steal(Task &out, size_t &size_after)
-{
-    return impl_ == DequeImpl::ChaseLev
-        ? stealChaseLev(out, size_after)
-        : stealThe(out, size_after);
-}
-
-bool
-WsDeque::stealChaseLev(Task &out, size_t &size_after)
 {
     // Read head, then tail, both seq_cst: the S-order against the
     // owner's seq_cst retraction is what guarantees that if the
@@ -208,38 +161,8 @@ WsDeque::stealChaseLev(Task &out, size_t &size_after)
     return true;
 }
 
-bool
-WsDeque::stealThe(Task &out, size_t &size_after)
-{
-    std::lock_guard<std::mutex> guard(lock_);
-    const int64_t h = head_.load();
-    if (h >= tail_.load())
-        return false; // plain empty: nothing to claim
-    // Claim the head slot, then verify the tail has not retracted
-    // past it (a racing pop taking the same last task). The claim-
-    // then-check order mirrors Algorithm 2.4.
-    head_.store(h + 1);
-    const int64_t t = tail_.load();
-    if (h + 1 > t) {
-        head_.store(h);
-        stealCasRetries_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    out = Task::adopt(loadSlot(h));
-    size_after = static_cast<size_t>(t - (h + 1));
-    return true;
-}
-
 size_t
 WsDeque::stealHalf(std::vector<Task> &out, size_t &size_after)
-{
-    return impl_ == DequeImpl::ChaseLev
-        ? stealHalfChaseLev(out, size_after)
-        : stealHalfThe(out, size_after);
-}
-
-size_t
-WsDeque::stealHalfChaseLev(std::vector<Task> &out, size_t &size_after)
 {
     size_after = 0;
     int64_t h = head_.load(std::memory_order_seq_cst);
@@ -286,47 +209,6 @@ WsDeque::stealHalfChaseLev(std::vector<Task> &out, size_t &size_after)
     }
     const int64_t remaining = tail_.load(std::memory_order_relaxed)
         - head_.load(std::memory_order_relaxed);
-    size_after = remaining > 0 ? static_cast<size_t>(remaining) : 0;
-    return got;
-}
-
-size_t
-WsDeque::stealHalfThe(std::vector<Task> &out, size_t &size_after)
-{
-    std::lock_guard<std::mutex> guard(lock_);
-    const int64_t h0 = head_.load();
-    const int64_t t0 = tail_.load();
-    const int64_t n = t0 - h0;
-    size_after = 0;
-    if (n <= 0)
-        return 0;
-    // Take ceil(n/2): leave the owner the more immediate half. Each
-    // iteration is one full single-steal protocol step — claim, check
-    // the tail for a racing pop, move the task out — so at most one
-    // claimed slot is ever pending and the ring's sacrificial vacant
-    // slot (see push()) keeps the owner from wrapping onto it. Other
-    // thieves are excluded by the lock held across the whole grab.
-    const int64_t want = (n + 1) / 2;
-    // Grow the landing buffer up front: a push_back reallocation
-    // inside the loop would stretch the critical section by a heap
-    // allocation while the owner and other thieves wait on lock_.
-    out.reserve(out.size() + static_cast<size_t>(want));
-    size_t got = 0;
-    for (int64_t i = 0; i < want; ++i) {
-        const int64_t h = head_.load();
-        head_.store(h + 1);
-        const int64_t t = tail_.load();
-        if (h + 1 > t) {
-            // The owner popped past us mid-grab; undo the claim and
-            // keep what was already moved out.
-            head_.store(h);
-            stealCasRetries_.fetch_add(1, std::memory_order_relaxed);
-            break;
-        }
-        out.push_back(Task::adopt(loadSlot(h)));
-        ++got;
-    }
-    const int64_t remaining = tail_.load() - head_.load();
     size_after = remaining > 0 ? static_cast<size_t>(remaining) : 0;
     return got;
 }

@@ -83,26 +83,15 @@ InjectRing::tryPop(Task &out)
     return true;
 }
 
-InjectQueue::InjectQueue(const InjectPolicy &policy,
-                         unsigned num_domains)
-    : drainBackBatch_(policy.drainBackBatch)
-{
-    const unsigned shards =
-        policy.shardPerDomain ? std::max(1u, num_domains) : 1u;
-    rings_.reserve(shards);
-    for (unsigned s = 0; s < shards; ++s)
-        rings_.push_back(
-            std::make_unique<InjectRing>(policy.shardCapacity));
-}
+InjectQueue::InjectQueue(size_t capacity) : ring_(capacity) {}
 
 InjectQueue::PushPath
-InjectQueue::push(Task &&t, unsigned shard_hint)
+InjectQueue::push(Task &&t)
 {
-    auto &ring = *rings_[shard_hint % rings_.size()];
-    if (ring.tryPush(std::move(t)))
+    if (ring_.tryPush(std::move(t)))
         return PushPath::Ring;
-    // Shard full: fall back to the overflow deque rather than block
-    // or drop. The ring rejection left `t` intact.
+    // Ring full: fall back to the overflow deque rather than block or
+    // drop. The ring rejection left `t` intact.
     {
         std::lock_guard<std::mutex> lock(spillMutex_);
         spill_.push_back(std::move(t));
@@ -112,29 +101,21 @@ InjectQueue::push(Task &&t, unsigned shard_hint)
 }
 
 InjectQueue::PopSource
-InjectQueue::tryPop(Task &out, unsigned preferred_shard)
+InjectQueue::tryPop(Task &out)
 {
-    const unsigned n = numShards();
-    const unsigned start = preferred_shard % n;
-    for (unsigned k = 0; k < n; ++k) {
-        InjectRing &ring = *rings_[(start + k) % n];
-        if (ring.tryPop(out)) {
-            // The pop freed at least one slot: opportunistically
-            // pull spilled tasks back into this ring so sustained
-            // overflow regains rough FIFO (ROADMAP drain-back item)
-            // instead of stranding the spill behind a
-            // constantly-refilling ring.
-            if (drainBackBatch_ != 0
-                && spillSize_.load(std::memory_order_acquire) != 0)
-                drainBackInto(ring);
-            return k == 0 ? PopSource::PreferredShard
-                          : PopSource::OtherShard;
-        }
+    if (ring_.tryPop(out)) {
+        // The pop freed at least one slot: opportunistically pull
+        // spilled tasks back into the ring so sustained overflow
+        // regains rough FIFO instead of stranding the spill behind a
+        // constantly-refilling ring.
+        if (spillSize_.load(std::memory_order_acquire) != 0)
+            drainBack();
+        return PopSource::Ring;
     }
     // Ring-first drain keeps delivery roughly FIFO: a spilled task
-    // is always newer than the ring tasks that filled its shard.
-    // Under sustained overflow the spill drains whenever a scan
-    // finds the rings momentarily empty — bounded unfairness, never
+    // is always newer than the ring tasks that filled the ring.
+    // Under sustained overflow the spill drains whenever a pop finds
+    // the ring momentarily empty — bounded unfairness, never
     // starvation of the queue as a whole.
     if (spillSize_.load(std::memory_order_acquire) != 0) {
         std::lock_guard<std::mutex> lock(spillMutex_);
@@ -149,15 +130,15 @@ InjectQueue::tryPop(Task &out, unsigned preferred_shard)
 }
 
 void
-InjectQueue::drainBackInto(InjectRing &ring)
+InjectQueue::drainBack()
 {
     std::lock_guard<std::mutex> lock(spillMutex_);
     unsigned moved = 0;
-    while (moved < drainBackBatch_ && !spill_.empty()) {
+    while (moved < kDrainBackBatch && !spill_.empty()) {
         // tryPush leaves the task intact when the ring refilled
         // (racing producers), so nothing is lost — stop and leave
         // the remainder spilled.
-        if (!ring.tryPush(std::move(spill_.front())))
+        if (!ring_.tryPush(std::move(spill_.front())))
             break;
         spill_.pop_front();
         spillSize_.fetch_sub(1, std::memory_order_relaxed);
@@ -165,15 +146,6 @@ InjectQueue::drainBackInto(InjectRing &ring)
     }
     if (moved != 0)
         drainBacks_.fetch_add(moved, std::memory_order_relaxed);
-}
-
-unsigned
-producerShardHint()
-{
-    static std::atomic<unsigned> next{0};
-    thread_local const unsigned hint =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return hint;
 }
 
 } // namespace hermes::runtime

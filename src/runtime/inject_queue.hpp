@@ -1,22 +1,16 @@
 /**
  * @file
- * The external-submission (inject) path: a lock-free bounded MPMC
- * ring per topology domain, with a mutex-guarded spillover so
- * submission never drops a task or blocks unboundedly.
+ * The external-submission (inject) path: one lock-free bounded MPMC
+ * ring, with a mutex-guarded spillover so submission never drops a
+ * task or blocks unboundedly.
  *
  * External producers — threads that are not workers of the target
- * runtime — used to funnel every root task through one mutex-guarded
- * deque, the last lock on the task entry path. The replacement is a
- * Vyukov-style bounded MPMC ring (per-cell sequence numbers: a cell
- * whose sequence equals the enqueue position is free, one past the
- * dequeue position is full), sharded per topology domain so
- * producers mapped to different domains never contend on the same
- * head/tail cachelines and consumers can drain their own domain's
- * shard first — the same-domain-first order the stealing policy
- * already applies to victims (docs/STEALING.md). When a shard's ring
- * is full the task spills to a mutex-guarded deque instead of
- * failing: `push` always succeeds, the mutex is simply no longer on
- * the fast path. The scheduler-facing protocol (who publishes the
+ * runtime — enqueue root tasks into a Vyukov-style bounded MPMC ring
+ * (per-cell sequence numbers: a cell whose sequence equals the
+ * enqueue position is free, one past the dequeue position is full).
+ * When the ring is full the task spills to a mutex-guarded deque
+ * instead of failing: `push` always succeeds, the mutex is simply not
+ * on the fast path. The scheduler-facing protocol (who publishes the
  * Dekker handshake word, why a parked worker cannot sleep through a
  * submission) is documented in docs/ARCHITECTURE.md; this file only
  * stores and hands back tasks.
@@ -31,57 +25,10 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "runtime/task.hpp"
 
 namespace hermes::runtime {
-
-/**
- * External-submission knobs (part of RuntimeConfig).
- *
- * Defaults enable the lock-free sharded path. `useLockFreeInject =
- * false` replays the legacy single mutex-guarded deque — the A/B
- * baseline `bench_micro_inject` measures against.
- */
-struct InjectPolicy
-{
-    /**
-     * Route external submissions through the lock-free sharded MPMC
-     * ring (fast path) with mutex spillover. `false` replays the
-     * legacy mutex-guarded global deque bit-for-bit: same ordering,
-     * same wake protocol, zero ring traffic — the `injectFastPath`
-     * and `injectSpill` counters stay 0.
-     */
-    bool useLockFreeInject = true;
-
-    /**
-     * One ring shard per topology domain (`platform::DomainMap`), so
-     * producers assigned to different domains never touch the same
-     * enqueue cacheline and consumers drain their own domain's shard
-     * first. `false` collapses the queue to a single shard — every
-     * producer and consumer shares one ring.
-     */
-    bool shardPerDomain = true;
-
-    /**
-     * Per-shard ring capacity in tasks (rounded up to 2^k, >= 2).
-     * Submissions beyond a full shard spill to the mutex-guarded
-     * overflow deque; `RuntimeStats::injectSpill` counts how often
-     * the capacity was too small for the offered load.
-     */
-    size_t shardCapacity = 1 << 10;
-
-    /**
-     * Opportunistic spill drain-back: after a pop frees ring room,
-     * move up to this many spilled tasks back into that ring, so
-     * sustained overflow regains (rough) FIFO instead of stranding
-     * spilled tasks behind a constantly-refilling ring. `0` disables
-     * the drain-back, replaying the rings-then-spill drain order
-     * verbatim. `RuntimeStats::injectDrainBack` counts moved tasks.
-     */
-    unsigned drainBackBatch = 8;
-};
 
 /**
  * Bounded lock-free MPMC ring with per-cell sequence numbers
@@ -142,75 +89,71 @@ class InjectRing
 };
 
 /**
- * The sharded inject queue: one InjectRing per topology domain plus
- * a mutex-guarded spillover deque.
+ * The inject queue: one InjectRing plus a mutex-guarded spillover
+ * deque.
  *
- * Producers carry a shard hint (a worker's domain, or a stable
- * per-thread token for external threads — see producerShardHint());
- * consumers pass their own domain so the drain order is
- * same-domain-first, mirroring the stealing policy's victim order.
  * The queue stores tasks only — the Dekker publish word
  * (`Runtime::injectPending_`), wake notification, and all counters
- * stay in the scheduler so the lock-free and legacy paths share one
- * parking proof (docs/ARCHITECTURE.md).
+ * stay in the scheduler, next to the parking proof
+ * (docs/ARCHITECTURE.md).
  */
 class InjectQueue
 {
   public:
+    /**
+     * Opportunistic spill drain-back bound: after a pop frees ring
+     * room, up to this many of the oldest spilled tasks move back
+     * into the ring, so sustained overflow regains (rough) FIFO
+     * instead of stranding spilled tasks behind a constantly
+     * refilling ring. `RuntimeStats::injectDrainBack` counts moved
+     * tasks.
+     */
+    static constexpr unsigned kDrainBackBatch = 8;
+
     /** Where a push landed. */
     enum class PushPath
     {
-        Ring, ///< lock-free fast path (the shard had room)
-        Spill ///< mutex-guarded overflow (the shard was full)
+        Ring, ///< lock-free fast path (the ring had room)
+        Spill ///< mutex-guarded overflow (the ring was full)
     };
 
     /** Where a pop was satisfied from. */
     enum class PopSource
     {
-        None,           ///< nothing claimable anywhere
-        PreferredShard, ///< the consumer's own-domain shard
-        OtherShard,     ///< another domain's shard
-        Spill           ///< the overflow deque
+        None, ///< nothing claimable
+        Ring, ///< the lock-free ring
+        Spill ///< the overflow deque
     };
 
     /**
-     * @param policy capacity and sharding knobs
-     * @param num_domains shard count when `policy.shardPerDomain`
-     *        (>= 1 is enforced); ignored otherwise
+     * @param capacity ring capacity in tasks (rounded up to 2^k,
+     *        >= 2); submissions beyond a full ring spill, and
+     *        `RuntimeStats::injectSpill` counts how often the
+     *        capacity was too small for the offered load
      */
-    InjectQueue(const InjectPolicy &policy, unsigned num_domains);
+    explicit InjectQueue(size_t capacity);
 
     InjectQueue(const InjectQueue &) = delete;
     InjectQueue &operator=(const InjectQueue &) = delete;
 
     /**
      * Enqueue `t`, never failing and never blocking beyond the
-     * spillover mutex (taken only when the hinted shard's ring is
-     * full).
+     * spillover mutex (taken only when the ring is full).
      * @param t always consumed
-     * @param shard_hint producer placement token, reduced modulo the
-     *        shard count (a domain id or producerShardHint())
      * @return which path the task landed on
      */
-    PushPath push(Task &&t, unsigned shard_hint);
+    PushPath push(Task &&t);
 
     /**
-     * Dequeue one task: the preferred shard first, then the other
-     * shards in ring order, then the spillover. A `None` return does
-     * not prove the queue is empty — a concurrent producer may be
-     * between its claim and its publish — so callers gate retries on
-     * the scheduler's pending counter, not on this result.
+     * Dequeue one task: the ring first, then the spillover. A `None`
+     * return does not prove the queue is empty — a concurrent
+     * producer may be between its claim and its publish — so callers
+     * gate retries on the scheduler's pending counter, not on this
+     * result.
      * @param out receives the task on success
-     * @param preferred_shard the consumer's domain (reduced modulo
-     *        the shard count)
      * @return where the task came from, or None
      */
-    PopSource tryPop(Task &out, unsigned preferred_shard);
-
-    unsigned numShards() const
-    {
-        return static_cast<unsigned>(rings_.size());
-    }
+    PopSource tryPop(Task &out);
 
     /** Racy spillover depth estimate (exact only when quiescent). */
     size_t spillSizeApprox() const
@@ -218,8 +161,8 @@ class InjectQueue
         return spillSize_.load(std::memory_order_relaxed);
     }
 
-    /** Total spilled tasks moved back into a ring by the
-     * opportunistic drain-back (see InjectPolicy::drainBackBatch). */
+    /** Total spilled tasks moved back into the ring by the
+     * opportunistic drain-back (see kDrainBackBatch). */
     uint64_t
     drainBacks() const
     {
@@ -227,29 +170,20 @@ class InjectQueue
     }
 
   private:
-    /** Move up to `drainBackBatch_` spilled tasks into `ring`
+    /** Move up to kDrainBackBatch spilled tasks into the ring
      * (oldest first), stopping when either runs out of room/tasks.
      * Called right after a pop freed at least one slot. */
-    void drainBackInto(InjectRing &ring);
+    void drainBack();
 
-    std::vector<std::unique_ptr<InjectRing>> rings_;
-    unsigned drainBackBatch_;
+    InjectRing ring_;
     std::mutex spillMutex_;
     std::deque<Task> spill_;
     /** Lets tryPop skip the spill mutex while the overflow is empty
-     * (the common case once shardCapacity fits the offered load). */
+     * (the common case once the ring capacity fits the offered
+     * load). */
     std::atomic<size_t> spillSize_{0};
     std::atomic<uint64_t> drainBacks_{0};
 };
-
-/**
- * Stable per-thread shard hint for producers that have no domain
- * (external submitters): threads are numbered in first-submission
- * order, spreading concurrent producers round-robin across shards so
- * two external threads contend on the same enqueue cacheline only
- * when there are more producers than shards.
- */
-unsigned producerShardHint();
 
 } // namespace hermes::runtime
 

@@ -6,13 +6,12 @@
 #ifndef HERMES_RUNTIME_RUNTIME_CONFIG_HPP
 #define HERMES_RUNTIME_RUNTIME_CONFIG_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <thread>
 
 #include "core/policy.hpp"
 #include "platform/system_profile.hpp"
-#include "runtime/deque.hpp"
-#include "runtime/inject_queue.hpp"
 #include "runtime/steal_policy.hpp"
 
 namespace hermes::runtime {
@@ -64,11 +63,12 @@ struct RuntimeConfig
      * (docs/STEALING.md). */
     StealPolicy stealPolicy{};
 
-    /** External-submission policy: the lock-free sharded MPMC
-     * inject path vs the legacy mutex queue, shard-per-domain
-     * layout, and per-shard ring capacity (docs/ARCHITECTURE.md,
-     * "The inject path"). */
-    InjectPolicy inject{};
+    /** Inject ring capacity in tasks (rounded up to 2^k, >= 2).
+     * External submissions beyond a full ring spill to a
+     * mutex-guarded overflow deque (docs/ARCHITECTURE.md, "The
+     * inject path"); `RuntimeStats::injectSpill` counts how often the
+     * capacity was too small for the offered load. */
+    size_t injectCapacity = 1 << 10;
 
     /**
      * Event-driven idle parking: after `parkThreshold` consecutive
@@ -88,11 +88,6 @@ struct RuntimeConfig
 
     /** Per-worker deque ring capacity (rounded up to 2^k). */
     size_t dequeCapacity = 1 << 13;
-
-    /** Deque protocol: the lock-free Chase-Lev deque (default) or
-     * the legacy mutex-guarded THE deque (`DequeImpl::The`) for A/B
-     * replay (docs/STEALING.md, "The deque"). */
-    DequePolicy deque{};
 
     static unsigned
     defaultWorkers()

@@ -35,7 +35,8 @@ Runtime::currentWorker()
 }
 
 Runtime::Runtime(RuntimeConfig config)
-    : config_(std::move(config)), lot_(config_.numWorkers)
+    : config_(std::move(config)), injectQueue_(config_.injectCapacity),
+      lot_(config_.numWorkers)
 {
     HERMES_ASSERT(config_.numWorkers >= 1, "need at least one worker");
 
@@ -76,14 +77,6 @@ Runtime::Runtime(RuntimeConfig config)
                                     residents.end());
     }
 
-    // The lock-free inject path shards per resolved domain; the
-    // legacy mutex deque needs no setup, so `useLockFreeInject =
-    // false` replays it simply by leaving this null.
-    if (config_.inject.useLockFreeInject) {
-        injectQueue_ = std::make_unique<InjectQueue>(
-            config_.inject, domainMap_.numDomains());
-    }
-
     backend_ = std::make_unique<dvfs::SimulatedDvfs>(
         topo.numDomains(), config_.profile.ladder,
         config_.profile.dvfsLatencySec);
@@ -114,8 +107,8 @@ Runtime::Runtime(RuntimeConfig config)
 
     workers_.reserve(config_.numWorkers);
     for (unsigned w = 0; w < config_.numWorkers; ++w) {
-        workers_.push_back(std::make_unique<WorkerState>(
-            config_.dequeCapacity, config_.deque));
+        workers_.push_back(
+            std::make_unique<WorkerState>(config_.dequeCapacity));
     }
     // Threads start only after every member is in place.
     for (unsigned w = 0; w < config_.numWorkers; ++w)
@@ -314,105 +307,56 @@ Runtime::notifyManyIfParked(uint64_t count,
 void
 Runtime::inject(Task task)
 {
-    platform::DomainId preferred = platform::invalidDomain;
-    if (injectQueue_) {
-        const unsigned hint = producerShardHint();
-        // Publish before enqueue: the seq_cst increment is the
-        // work-publish half of the Dekker handshake with
-        // parkUntilWork()'s re-check, and ordering it *ahead* of the
-        // ring store means the pending counter always bounds the
-        // queue contents from above — a consumer that saw the
-        // increment but scans before the enqueue lands merely
-        // retries (it cannot park: the counter is still non-zero),
-        // and the per-pop decrement can never underflow. The legacy
-        // branch below gets the same guarantee from its mutex.
-        injectPending_.fetch_add(1, std::memory_order_seq_cst);
-        InjectQueue::PushPath path;
-        try {
-            path = injectQueue_->push(std::move(task), hint);
-        } catch (...) {
-            // The spill deque can throw (allocation); retract the
-            // publish or every future park re-check would see a
-            // phantom pending task and the pool could never park
-            // again.
-            injectPending_.fetch_sub(1, std::memory_order_seq_cst);
-            throw;
-        }
-        (path == InjectQueue::PushPath::Ring ? injectFastPath_
-                                             : injectSpill_)
-            .fetch_add(1, std::memory_order_relaxed);
-        // Prefer a sleeper in the domain whose shard received the
-        // task: its residents drain that shard first, so the wake
-        // lands next to the work (shard s hosts domain s when
-        // sharding per domain — the only way numShards exceeds 1).
-        if (injectQueue_->numShards() > 1)
-            preferred = hint % injectQueue_->numShards();
-    } else {
-        std::lock_guard<std::mutex> lock(injectMutex_);
-        injected_.push_back(std::move(task));
-        // seq_cst: the work-publish half of the Dekker handshake
-        // with parkUntilWork()'s re-check.
-        injectPending_.fetch_add(1, std::memory_order_seq_cst);
+    // Publish before enqueue: the seq_cst increment is the
+    // work-publish half of the Dekker handshake with
+    // parkUntilWork()'s re-check, and ordering it *ahead* of the
+    // ring store means the pending counter always bounds the queue
+    // contents from above — a consumer that saw the increment but
+    // scans before the enqueue lands merely retries (it cannot park:
+    // the counter is still non-zero), and the per-pop decrement can
+    // never underflow.
+    injectPending_.fetch_add(1, std::memory_order_seq_cst);
+    InjectQueue::PushPath path;
+    try {
+        path = injectQueue_.push(std::move(task));
+    } catch (...) {
+        // The spill deque can throw (allocation); retract the
+        // publish or every future park re-check would see a phantom
+        // pending task and the pool could never park again.
+        injectPending_.fetch_sub(1, std::memory_order_seq_cst);
+        throw;
     }
+    (path == InjectQueue::PushPath::Ring ? injectFastPath_
+                                         : injectSpill_)
+        .fetch_add(1, std::memory_order_relaxed);
     injectedCount_.fetch_add(1, std::memory_order_relaxed);
-    notifyIfParked(preferred);
-}
-
-unsigned
-Runtime::injectPreferredShard(core::WorkerId id) const
-{
-    return config_.inject.shardPerDomain ? domainMap_.domainOf(id)
-                                         : 0;
+    notifyIfParked(platform::invalidDomain);
 }
 
 bool
-Runtime::popInjected(core::WorkerId id, Task &out)
+Runtime::popInjected(Task &out)
 {
     // Counter-gated fast path: the queue is empty for almost the
     // whole run (root tasks only), and every hunting worker polls
     // here each scheduler iteration — without the guard they would
-    // all walk the shards (or serialize on injectMutex_ in legacy
-    // mode) for nothing. A stale zero is harmless for an awake
-    // worker (it retries next iteration); a worker about to park
-    // re-reads the counter seq_cst in workPossiblyAvailable(), and
-    // the injector notifies the lot, so parking cannot sleep through
-    // an inject.
+    // all touch the ring for nothing. A stale zero is harmless for
+    // an awake worker (it retries next iteration); a worker about to
+    // park re-reads the counter seq_cst in workPossiblyAvailable(),
+    // and the injector notifies the lot, so parking cannot sleep
+    // through an inject.
     if (injectPending_.load(std::memory_order_relaxed) == 0)
         return false;
-    size_t depth_at_claim = 0;
-    if (injectQueue_) {
-        const auto src =
-            injectQueue_->tryPop(out, injectPreferredShard(id));
-        if (src == InjectQueue::PopSource::None)
-            return false;
-        // A single-shard queue (shardPerDomain off, or a one-domain
-        // host) satisfies every pop from the "preferred" shard by
-        // construction; counting those would make the locality
-        // metric read 100% exactly when there is no locality to
-        // measure, so the counter moves only with real sharding.
-        if (src == InjectQueue::PopSource::PreferredShard
-            && injectQueue_->numShards() > 1)
-            injectShardHits_.fetch_add(1, std::memory_order_relaxed);
-        depth_at_claim =
-            injectPending_.fetch_sub(1, std::memory_order_seq_cst);
-    } else {
-        std::lock_guard<std::mutex> lock(injectMutex_);
-        if (injected_.empty())
-            return false;
-        out = std::move(injected_.front());
-        injected_.pop_front();
-        depth_at_claim =
-            injectPending_.fetch_sub(1, std::memory_order_seq_cst);
-    }
+    if (injectQueue_.tryPop(out) == InjectQueue::PopSource::None)
+        return false;
+    const size_t depth_at_claim =
+        injectPending_.fetch_sub(1, std::memory_order_seq_cst);
     injectDrain_[RuntimeStats::stealSizeBucket(depth_at_claim)]
         .fetch_add(1, std::memory_order_relaxed);
     // Wake chaining: a single inject wakes one worker; if more root
     // tasks are queued behind the one just claimed, pass the baton so
     // a burst of injects unparks a matching number of workers. The
-    // baton carries no domain even on the sharded queue: the pending
-    // tail may sit in any shard or the spillover, so no single
-    // domain describes it — the rotating-cursor scan spreads the
-    // chain instead.
+    // baton carries no domain: the rotating-cursor scan spreads the
+    // chain.
     if (depth_at_claim > 1)
         notifyIfParked(platform::invalidDomain);
     return true;
@@ -506,7 +450,7 @@ Runtime::findAndExecute(core::WorkerId id)
         tempo_->onOutOfWork(id, freshNow(ws));
 
     // Externally submitted work (the program's root tasks).
-    if (popInjected(id, task)) {
+    if (popInjected(task)) {
         execute(id, task);
         return true;
     }
@@ -846,7 +790,7 @@ Runtime::injectTelemetry() const
     t.pending = injectPending_.load(std::memory_order_relaxed);
     t.fastPath = injectFastPath_.load(std::memory_order_relaxed);
     t.spill = injectSpill_.load(std::memory_order_relaxed);
-    t.drainBack = injectQueue_ ? injectQueue_->drainBacks() : 0;
+    t.drainBack = injectQueue_.drainBacks();
     return t;
 }
 
@@ -924,10 +868,7 @@ Runtime::stats() const
     total.injectFastPath =
         injectFastPath_.load(std::memory_order_relaxed);
     total.injectSpill = injectSpill_.load(std::memory_order_relaxed);
-    total.injectShardHits =
-        injectShardHits_.load(std::memory_order_relaxed);
-    total.injectDrainBack =
-        injectQueue_ ? injectQueue_->drainBacks() : 0;
+    total.injectDrainBack = injectQueue_.drainBacks();
     total.droppedHandleErrors =
         droppedHandleErrors_.load(std::memory_order_relaxed);
     for (unsigned b = 0; b < RuntimeStats::kInjectDrainBuckets; ++b)

@@ -18,13 +18,11 @@
  * external inject, preferring a same-domain parked worker, so the
  * spawn hot path touches no shared wake state while the pool is busy.
  * External threads enter through Runtime::submit (or run): tasks
- * land on the lock-free sharded inject queue (inject_queue.hpp) and
- * workers drain their own domain's shard first, so sustained outside
- * traffic serializes on no lock. Workers report the five HERMES
- * events to an optional
- * TempoController, which drives a DVFS backend; parking is reported
- * as a distinct fifth worker state (onPark/onWake) that never changes
- * frequency. This is the "mild change to the work stealing runtime"
+ * land on the lock-free inject ring (inject_queue.hpp), so sustained
+ * outside traffic serializes on no lock. Workers report the five
+ * HERMES events to an optional TempoController, which drives a DVFS
+ * backend; parking is reported as a distinct fifth worker state
+ * (onPark/onWake) that never changes frequency. This is the "mild change to the work stealing runtime"
  * the paper describes: the loop structure is untouched; only the
  * highlighted hook calls are added. The full state machine, the
  * lost-wakeup argument, and the inject path live in
@@ -36,10 +34,8 @@
 #define HERMES_RUNTIME_SCHEDULER_HPP
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -110,7 +106,7 @@ class SubmitHandle
  *
  * The feed for external admission control (the serving harness's
  * accept/shed decision, src/harness/serve/admission.hpp): `pending`
- * is the injected-but-undrained backlog — rings plus spillover,
+ * is the injected-but-undrained backlog — ring plus spillover,
  * bounded above by the publish-before-enqueue ordering documented in
  * docs/ARCHITECTURE.md — and the rest are the monotone inject
  * outcome counters also reported through RuntimeStats. Unlike
@@ -120,9 +116,9 @@ class SubmitHandle
 struct InjectTelemetry
 {
     size_t pending = 0;     ///< injected-but-undrained backlog depth
-    uint64_t fastPath = 0;  ///< injects that landed in a ring shard
+    uint64_t fastPath = 0;  ///< injects that landed in the ring
     uint64_t spill = 0;     ///< injects that overflowed to the spill deque
-    uint64_t drainBack = 0; ///< spilled tasks drained back into rings
+    uint64_t drainBack = 0; ///< spilled tasks drained back into the ring
 };
 
 /**
@@ -176,9 +172,9 @@ class Runtime
      * External-submission API: enqueue `fn` without blocking and
      * return a waitable handle. Usable from any thread — a worker of
      * this runtime pushes to its own deque; any other thread goes
-     * through the inject path (the lock-free sharded ring, or the
-     * legacy mutex queue when `InjectPolicy::useLockFreeInject` is
-     * off). The handle's wait() rethrows the task's first exception.
+     * through the inject path (the lock-free ring, spilling to a
+     * mutex-guarded deque when full). The handle's wait() rethrows
+     * the task's first exception.
      */
     SubmitHandle submit(TaskFn fn);
 
@@ -271,8 +267,8 @@ class Runtime
 
     struct alignas(64) WorkerState
     {
-        WorkerState(size_t deque_capacity, DequePolicy deque_policy)
-            : deque(deque_capacity, deque_policy)
+        explicit WorkerState(size_t deque_capacity)
+            : deque(deque_capacity)
         {}
 
         WsDeque deque;
@@ -398,12 +394,8 @@ class Runtime
     void execute(core::WorkerId id, Task &task);
 
     void workerMain(core::WorkerId id);
-    bool popInjected(core::WorkerId id, Task &out);
+    bool popInjected(Task &out);
     void inject(Task task);
-
-    /** Inject shard a consumer drains first: its own domain when
-     * sharding per domain, else the single shard. */
-    unsigned injectPreferredShard(core::WorkerId id) const;
 
     RuntimeConfig config_;
     std::vector<platform::CoreId> plannedCores_;
@@ -418,14 +410,8 @@ class Runtime
     std::unique_ptr<core::TempoController> tempo_;
     std::vector<std::unique_ptr<WorkerState>> workers_;
 
-    /** The lock-free sharded inject path; null when
-     * `InjectPolicy::useLockFreeInject` is off and the legacy
-     * mutex-guarded deque below carries submissions instead. */
-    std::unique_ptr<InjectQueue> injectQueue_;
-    /** Legacy inject queue (the `useLockFreeInject = false` A/B
-     * replay); unused while injectQueue_ is active. */
-    std::mutex injectMutex_;
-    std::deque<Task> injected_;
+    /** The external-submission path: lock-free ring + spill. */
+    InjectQueue injectQueue_;
     /** Monotonic total of injected tasks (stats only). */
     std::atomic<uint64_t> injectedCount_{0};
     /**
@@ -435,10 +421,10 @@ class Runtime
      * injector's increment is the work-publish of the Dekker
      * handshake with a parking thief's re-check (the hot-path poll in
      * popInjected() may still read it relaxed — a stale zero there
-     * only delays an awake worker by one loop iteration). On the
-     * lock-free path the increment happens *before* the ring
-     * enqueue, so the counter bounds the queue contents from above
-     * and a fruitless scan simply retries — see "The inject path" in
+     * only delays an awake worker by one loop iteration). The
+     * increment happens *before* the ring enqueue, so the counter
+     * bounds the queue contents from above and a fruitless scan
+     * simply retries — see "The inject path" in
      * docs/ARCHITECTURE.md.
      */
     std::atomic<size_t> injectPending_{0};
@@ -446,7 +432,6 @@ class Runtime
      * external, so like `injected` they are not per-worker). */
     std::atomic<uint64_t> injectFastPath_{0};
     std::atomic<uint64_t> injectSpill_{0};
-    std::atomic<uint64_t> injectShardHits_{0};
     /** Drain histogram: backlog depth observed by each successful
      * inject pop (RuntimeStats::injectDrain buckets). */
     std::array<std::atomic<uint64_t>,

@@ -43,12 +43,11 @@ struct RuntimeStats
     uint64_t remoteHits = 0;    ///< steals from a cross-domain victim
     uint64_t localWakes = 0;    ///< targeted wakes of a same-domain worker
     uint64_t remoteWakes = 0;   ///< targeted wakes across domains
-    uint64_t injectFastPath = 0;  ///< injects landing in a lock-free ring shard
+    uint64_t injectFastPath = 0;  ///< injects landing in the lock-free ring
     uint64_t injectSpill = 0;     ///< injects overflowing to the spillover deque
-    uint64_t injectShardHits = 0; ///< inject pops served by the consumer's own-domain shard (0 when the queue has a single shard — nothing to measure)
     uint64_t injectDrainBack = 0; ///< spilled tasks moved back into a ring with room (FIFO recovery under sustained overflow)
-    uint64_t stealCasRetries = 0; ///< failed steal claims: Chase-Lev head-CAS losses / THE claim-undos against a racing pop
-    uint64_t popCasLosses = 0;    ///< owner pops that lost the last-task CAS to a thief (Chase-Lev deque only)
+    uint64_t stealCasRetries = 0; ///< failed steal claims: head-CAS losses to another thief or the owner's last-task pop
+    uint64_t popCasLosses = 0;    ///< owner pops that lost the last-task CAS to a thief
     uint64_t droppedHandleErrors = 0; ///< task exceptions swallowed by the submit-handle release drain (the handle was dropped without wait(); see SubmitHandle)
 
     /** Histogram of tasks landed per successful steal (see
@@ -62,8 +61,7 @@ struct RuntimeStats
     std::array<uint64_t, kInjectDrainBuckets> injectDrain{};
 
     /** Share of injected tasks that took the lock-free fast path
-     * (0 when nothing was injected; always 0 on the legacy mutex
-     * queue, whose entries count in neither bucket). */
+     * (0 when nothing was injected). */
     double
     injectFastFraction() const
     {
@@ -121,7 +119,6 @@ struct RuntimeStats
         remoteWakes += o.remoteWakes;
         injectFastPath += o.injectFastPath;
         injectSpill += o.injectSpill;
-        injectShardHits += o.injectShardHits;
         injectDrainBack += o.injectDrainBack;
         stealCasRetries += o.stealCasRetries;
         popCasLosses += o.popCasLosses;

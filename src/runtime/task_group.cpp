@@ -35,10 +35,14 @@ TaskGroup::wait()
                 std::this_thread::yield();
         }
     } else {
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [this] {
-            return pending_.load(std::memory_order_acquire) == 0;
-        });
+        // atomic::wait returns only once the loaded value differs
+        // from `left`, and the loop re-checks, so spurious wakes
+        // (including a notify meant for a group that used to live at
+        // this address) cost one extra load.
+        for (int left = pending_.load(std::memory_order_acquire);
+             left != 0;
+             left = pending_.load(std::memory_order_acquire))
+            pending_.wait(left, std::memory_order_acquire);
     }
     rethrowIfError();
 }
@@ -47,33 +51,47 @@ void
 TaskGroup::finish()
 {
     if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Synchronize with external waiters: take the lock so the
-        // notification cannot slip between their predicate check and
-        // their wait.
-        std::lock_guard<std::mutex> lock(mutex_);
-        cv_.notify_all();
+        // From here on the group may already be gone: a worker
+        // waiter polling pending_ (or an external one woken
+        // spuriously) can see zero, return, and destroy the group
+        // before the line below runs. The notify therefore must not
+        // touch the group's memory, and it does not: in libstdc++,
+        // notify_all on an int-sized atomic reads only the global
+        // waiter pool (hashed by address) and then issues
+        // FUTEX_WAKE_PRIVATE on the address. A private-futex wake is
+        // keyed by the address value alone; the kernel never reads
+        // the word, so a freed or reused address at worst wakes an
+        // unrelated waiter, which re-checks and sleeps again.
+        pending_.notify_all();
     }
 }
 
 void
 TaskGroup::recordException(std::exception_ptr error)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!error_)
+    // The first failing task claims the slot; its error_ write is
+    // published to waiters by its own finish() (release), which the
+    // waiter's zero read acquires.
+    int expected = kNoError;
+    if (errorState_.compare_exchange_strong(expected, kRecorded,
+                                            std::memory_order_acq_rel))
         error_ = std::move(error);
 }
 
 void
 TaskGroup::rethrowIfError()
 {
-    std::exception_ptr error;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        error = error_;
-        error_ = nullptr;
-    }
-    if (error)
-        std::rethrow_exception(error);
+    // Exactly one of several concurrent waiters wins kRecorded →
+    // kTaken; it empties the slot before reopening it, so the others
+    // return normally and a reused group starts clean.
+    int expected = kRecorded;
+    if (!errorState_.compare_exchange_strong(expected, kTaken,
+                                             std::memory_order_acq_rel))
+        return;
+    std::exception_ptr error = std::move(error_);
+    error_ = nullptr;
+    errorState_.store(kNoError, std::memory_order_release);
+    std::rethrow_exception(error);
 }
 
 } // namespace hermes::runtime

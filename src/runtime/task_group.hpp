@@ -8,15 +8,19 @@
  * worker blocked in wait() does not idle — it keeps scheduling other
  * tasks (its own deque first, then stealing), exactly like a Cilk
  * worker at a sync point.
+ *
+ * The whole completion protocol is one atomic word: the last
+ * finisher's decrement to zero is the release, and external waiters
+ * block on that word with std::atomic::wait. The finisher touches no
+ * other member of the group afterwards, because a waiter that sees
+ * zero may destroy the group immediately (task_group.cpp).
  */
 
 #ifndef HERMES_RUNTIME_TASK_GROUP_HPP
 #define HERMES_RUNTIME_TASK_GROUP_HPP
 
 #include <atomic>
-#include <condition_variable>
 #include <exception>
-#include <mutex>
 
 #include "runtime/task_fn.hpp"
 
@@ -51,7 +55,8 @@ class TaskGroup
      * Wait until every spawned task has completed. Worker threads
      * help execute pending work while waiting; external threads
      * block. Rethrows the first exception thrown by any task in this
-     * group.
+     * group — in exactly one of several concurrent waiters; the
+     * others return normally, and the group is clean for reuse.
      */
     void wait();
 
@@ -73,16 +78,29 @@ class TaskGroup
     /** Mark one task complete; wakes external waiters at zero. */
     void finish();
 
-    /** Record the first exception observed in this group. */
+    /** Record the first exception observed in this group; later
+     * ones are dropped. Must precede the task's finish(). */
     void recordException(std::exception_ptr error);
 
-    /** Rethrow a recorded exception, if any. */
+    /** Rethrow a recorded exception, if any, in one caller only. */
     void rethrowIfError();
 
+    /** States of the error slot (errorState_). */
+    enum : int
+    {
+        kNoError = 0,  ///< slot empty
+        kRecorded = 1, ///< a task claimed the slot and wrote error_
+        kTaken = 2     ///< a waiter is moving error_ out to rethrow
+    };
+
     Runtime &rt_;
-    std::atomic<long> pending_{0};
-    std::mutex mutex_;
-    std::condition_variable cv_;
+    /** Spawned-but-unfinished tasks; also the word external waiters
+     * block on. `int` so std::atomic::wait maps onto a futex on this
+     * very address rather than a shared proxy word. */
+    std::atomic<int> pending_{0};
+    /** Claims error_: kNoError → kRecorded by the first failing task,
+     * kRecorded → kTaken by the one waiter that rethrows. */
+    std::atomic<int> errorState_{kNoError};
     std::exception_ptr error_;
 };
 

@@ -1,13 +1,10 @@
-/** @file Unit tests for the work-stealing deque, run against both
- * protocols (lock-free Chase-Lev and the legacy THE replay) —
- * `DequePolicy::impl = the` must produce identical results. */
+/** @file Unit tests for the lock-free Chase-Lev work-stealing
+ * deque. */
 
 #include <gtest/gtest.h>
 
 #include "runtime/deque.hpp"
 
-using hermes::runtime::DequeImpl;
-using hermes::runtime::DequePolicy;
 using hermes::runtime::Task;
 using hermes::runtime::WsDeque;
 
@@ -27,21 +24,15 @@ runTag(Task &t, std::vector<int> &sink)
     return sink.back();
 }
 
-/** Both protocols behind one fixture: every behavioral test below
- * runs twice, which is the `impl = the` replay guarantee. */
-class WsDequeBoth : public testing::TestWithParam<DequeImpl>
+WsDeque
+make(size_t capacity = 1 << 13)
 {
-  protected:
-    WsDeque
-    make(size_t capacity = 1 << 13) const
-    {
-        return WsDeque(capacity, DequePolicy{GetParam()});
-    }
-};
+    return WsDeque(capacity);
+}
 
 } // namespace
 
-TEST_P(WsDequeBoth, StartsEmpty)
+TEST(WsDeque, StartsEmpty)
 {
     WsDeque d = make();
     EXPECT_TRUE(d.empty());
@@ -52,7 +43,7 @@ TEST_P(WsDequeBoth, StartsEmpty)
     EXPECT_FALSE(d.steal(out, sz));
 }
 
-TEST_P(WsDequeBoth, PopIsLifo)
+TEST(WsDeque, PopIsLifo)
 {
     // The owner pops the most recently pushed (most immediate) task.
     WsDeque d = make();
@@ -70,7 +61,7 @@ TEST_P(WsDequeBoth, PopIsLifo)
     EXPECT_TRUE(d.empty());
 }
 
-TEST_P(WsDequeBoth, StealIsFifo)
+TEST(WsDeque, StealIsFifo)
 {
     // Thieves take the head: the earliest-pushed, least immediate
     // task (the work-first ordering HERMES relies on).
@@ -88,7 +79,7 @@ TEST_P(WsDequeBoth, StealIsFifo)
     EXPECT_FALSE(d.steal(out, sz));
 }
 
-TEST_P(WsDequeBoth, MixedPopAndSteal)
+TEST(WsDeque, MixedPopAndSteal)
 {
     WsDeque d = make();
     std::vector<int> sink;
@@ -110,7 +101,7 @@ TEST_P(WsDequeBoth, MixedPopAndSteal)
     EXPECT_TRUE(d.empty());
 }
 
-TEST_P(WsDequeBoth, ReportsSizeAfterEachOperation)
+TEST(WsDeque, ReportsSizeAfterEachOperation)
 {
     WsDeque d = make();
     std::vector<int> sink;
@@ -126,7 +117,7 @@ TEST_P(WsDequeBoth, ReportsSizeAfterEachOperation)
     EXPECT_EQ(sz, 0u);
 }
 
-TEST_P(WsDequeBoth, FullRingRejectsPush)
+TEST(WsDeque, FullRingRejectsPush)
 {
     WsDeque d = make(4); // ring of 4: usable capacity is 3 (push())
     std::vector<int> sink;
@@ -140,7 +131,7 @@ TEST_P(WsDequeBoth, FullRingRejectsPush)
     EXPECT_TRUE(d.push(tagged(5, sink), sz));
 }
 
-TEST_P(WsDequeBoth, WrapsAroundTheRing)
+TEST(WsDeque, WrapsAroundTheRing)
 {
     WsDeque d = make(4);
     std::vector<int> sink;
@@ -158,7 +149,7 @@ TEST_P(WsDequeBoth, WrapsAroundTheRing)
     EXPECT_TRUE(d.empty());
 }
 
-TEST_P(WsDequeBoth, CapacityRoundsToPowerOfTwo)
+TEST(WsDeque, CapacityRoundsToPowerOfTwo)
 {
     WsDeque d = make(5);
     EXPECT_EQ(d.capacity(), 8u);
@@ -166,7 +157,7 @@ TEST_P(WsDequeBoth, CapacityRoundsToPowerOfTwo)
     EXPECT_EQ(d2.capacity(), 2u);
 }
 
-TEST_P(WsDequeBoth, StealHalfTakesCeilHalfFromTheHead)
+TEST(WsDeque, StealHalfTakesCeilHalfFromTheHead)
 {
     WsDeque d = make();
     std::vector<int> sink;
@@ -192,7 +183,7 @@ TEST_P(WsDequeBoth, StealHalfTakesCeilHalfFromTheHead)
     EXPECT_TRUE(d.empty());
 }
 
-TEST_P(WsDequeBoth, StealHalfOnEmptyAndSingleton)
+TEST(WsDeque, StealHalfOnEmptyAndSingleton)
 {
     WsDeque d = make();
     std::vector<int> sink;
@@ -213,7 +204,7 @@ TEST_P(WsDequeBoth, StealHalfOnEmptyAndSingleton)
     EXPECT_TRUE(d.empty());
 }
 
-TEST_P(WsDequeBoth, StealHalfAppendsWithoutClearing)
+TEST(WsDeque, StealHalfAppendsWithoutClearing)
 {
     WsDeque d = make();
     std::vector<int> sink;
@@ -229,7 +220,7 @@ TEST_P(WsDequeBoth, StealHalfAppendsWithoutClearing)
     EXPECT_EQ(runTag(out[1], sink), 1);
 }
 
-TEST_P(WsDequeBoth, StealHalfInterleavesWithSingleSteal)
+TEST(WsDeque, StealHalfInterleavesWithSingleSteal)
 {
     // Both steal flavors drain the same head without gaps.
     WsDeque d = make();
@@ -252,7 +243,7 @@ TEST_P(WsDequeBoth, StealHalfInterleavesWithSingleSteal)
     EXPECT_EQ(d.size(), 2u);
 }
 
-TEST_P(WsDequeBoth, QuiescentOpsRecordNoCasRetries)
+TEST(WsDeque, QuiescentOpsRecordNoCasRetries)
 {
     // Without contention neither protocol loses a claim, so the
     // retry counters — the A/B contention signal — stay at zero.
@@ -270,7 +261,7 @@ TEST_P(WsDequeBoth, QuiescentOpsRecordNoCasRetries)
     EXPECT_EQ(d.popCasLosses(), 0u);
 }
 
-TEST_P(WsDequeBoth, DestructorReleasesQueuedClosures)
+TEST(WsDeque, DestructorReleasesQueuedClosures)
 {
     // Tasks still queued at destruction own their closures; an
     // oversized (boxed) capture must be freed by the deque teardown.
@@ -285,20 +276,4 @@ TEST_P(WsDequeBoth, DestructorReleasesQueuedClosures)
         EXPECT_FALSE(watch.expired()); // the queued task holds it
     }
     EXPECT_TRUE(watch.expired());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Impls, WsDequeBoth,
-    testing::Values(DequeImpl::ChaseLev, DequeImpl::The),
-    [](const testing::TestParamInfo<DequeImpl> &info) {
-        return info.param == DequeImpl::ChaseLev ? "ChaseLev"
-                                                 : "The";
-    });
-
-TEST(DequePolicy, DefaultsToChaseLevAndReplaysThe)
-{
-    WsDeque def;
-    EXPECT_EQ(def.impl(), DequeImpl::ChaseLev);
-    WsDeque legacy(8, DequePolicy{DequeImpl::The});
-    EXPECT_EQ(legacy.impl(), DequeImpl::The);
 }

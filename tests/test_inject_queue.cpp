@@ -1,9 +1,9 @@
 /**
  * @file
- * The lock-free sharded inject path: per-cell sequence wrap-around,
- * capacity-full spillover ordering, exactly-once delivery under a
- * multi-producer × multi-consumer torture loop, the Runtime::submit
- * API, and the `useLockFreeInject = false` legacy replay.
+ * The lock-free inject path: per-cell sequence wrap-around,
+ * capacity-full spillover and drain-back ordering, exactly-once
+ * delivery under a multi-producer × multi-consumer torture loop, and
+ * the Runtime::submit API.
  */
 
 #include <atomic>
@@ -18,7 +18,6 @@
 #include "runtime/scheduler.hpp"
 
 using namespace hermes;
-using runtime::InjectPolicy;
 using runtime::InjectQueue;
 using runtime::InjectRing;
 using runtime::Runtime;
@@ -102,24 +101,18 @@ TEST(InjectRing, FullRingRejectsAndLeavesTaskIntact)
     EXPECT_TRUE(ring.tryPush(marker(sink, 4)));
 }
 
-TEST(InjectQueue, CapacityFullSpilloverPreservesOrder)
+TEST(InjectQueue, DrainBackRestoresFifoUnderSustainedOverflow)
 {
-    // One shard of 4: pushes 0-3 take the ring, 4-11 spill. With
-    // the drain-back disabled (the legacy replay) the drain must
-    // hand back the ring portion first (the older tasks), then the
-    // spill portion, both in FIFO order — and report the source of
-    // every pop.
-    InjectPolicy policy;
-    policy.shardPerDomain = false;
-    policy.shardCapacity = 4;
-    policy.drainBackBatch = 0;
-    InjectQueue q(policy, 1);
-    ASSERT_EQ(q.numShards(), 1u);
+    // A ring of 4: pushes 0-3 take the ring, 4-11 spill. Every pop
+    // that frees a ring slot pulls the oldest spilled task into the
+    // ring, so delivery is *exact* FIFO across the ring/spill
+    // boundary and — once the spill has drained back — served from
+    // the ring, not the spill mutex.
+    InjectQueue q(4);
 
     std::vector<int> sink;
     for (int i = 0; i < 12; ++i) {
-        const auto path = q.push(marker(sink, i), 0);
-        EXPECT_EQ(path,
+        EXPECT_EQ(q.push(marker(sink, i)),
                   i < 4 ? InjectQueue::PushPath::Ring
                         : InjectQueue::PushPath::Spill)
             << "task " << i;
@@ -128,111 +121,48 @@ TEST(InjectQueue, CapacityFullSpilloverPreservesOrder)
 
     Task out;
     for (int i = 0; i < 12; ++i) {
-        const auto src = q.tryPop(out, 0);
-        EXPECT_EQ(src,
-                  i < 4 ? InjectQueue::PopSource::PreferredShard
-                        : InjectQueue::PopSource::Spill)
-            << "pop " << i;
-        EXPECT_EQ(valueOf(out, sink), i);
-    }
-    EXPECT_EQ(q.tryPop(out, 0), InjectQueue::PopSource::None);
-    EXPECT_EQ(q.spillSizeApprox(), 0u);
-    EXPECT_EQ(q.drainBacks(), 0u);
-}
-
-TEST(InjectQueue, DrainBackRestoresFifoUnderSustainedOverflow)
-{
-    // Same overflow as above but with the drain-back on (default):
-    // every pop that frees a ring slot pulls the oldest spilled task
-    // into the ring, so delivery is *exact* FIFO across the
-    // ring/spill boundary and — once the spill has drained back —
-    // served from the ring, not the spill mutex.
-    InjectPolicy policy;
-    policy.shardPerDomain = false;
-    policy.shardCapacity = 4;
-    InjectQueue q(policy, 1);
-
-    std::vector<int> sink;
-    for (int i = 0; i < 12; ++i)
-        q.push(marker(sink, i), 0);
-    EXPECT_EQ(q.spillSizeApprox(), 8u);
-
-    Task out;
-    for (int i = 0; i < 12; ++i) {
-        const auto src = q.tryPop(out, 0);
+        const auto src = q.tryPop(out);
         // Each pop frees one slot and the drain-back refills it from
         // the spill head, so no pop ever has to fall through to the
         // spill path.
-        EXPECT_EQ(src, InjectQueue::PopSource::PreferredShard)
-            << "pop " << i;
+        EXPECT_EQ(src, InjectQueue::PopSource::Ring) << "pop " << i;
         EXPECT_EQ(valueOf(out, sink), i) << "pop " << i;
     }
-    EXPECT_EQ(q.tryPop(out, 0), InjectQueue::PopSource::None);
+    EXPECT_EQ(q.tryPop(out), InjectQueue::PopSource::None);
     EXPECT_EQ(q.spillSizeApprox(), 0u);
     EXPECT_EQ(q.drainBacks(), 8u);
 }
 
-TEST(InjectQueue, DrainBackBatchIsBoundedPerPop)
+TEST(InjectQueue, DrainBackIsBoundedByFreedRoom)
 {
-    // A larger overflow than one batch: each pop may move at most
-    // drainBackBatch spilled tasks, so the spill shrinks stepwise
-    // (bounded mutex hold) rather than all at once.
-    InjectPolicy policy;
-    policy.shardPerDomain = false;
-    policy.shardCapacity = 2;
-    policy.drainBackBatch = 1;
-    InjectQueue q(policy, 1);
+    // An overflow larger than the ring: a pop moves back at most
+    // min(kDrainBackBatch, room it freed) spilled tasks, so the spill
+    // shrinks stepwise (bounded mutex hold) rather than all at once.
+    static_assert(InjectQueue::kDrainBackBatch > 1,
+                  "the freed room, not the batch, must be the bound");
+    InjectQueue q(2);
 
     std::vector<int> sink;
     for (int i = 0; i < 8; ++i)
-        q.push(marker(sink, i), 0);
+        q.push(marker(sink, i));
     EXPECT_EQ(q.spillSizeApprox(), 6u);
 
     Task out;
-    ASSERT_EQ(q.tryPop(out, 0), InjectQueue::PopSource::PreferredShard);
-    EXPECT_EQ(valueOf(out, sink), 0);
-    // One pop, one freed slot, batch 1: exactly one task moved back.
-    EXPECT_EQ(q.spillSizeApprox(), 5u);
-    EXPECT_EQ(q.drainBacks(), 1u);
+    for (unsigned i = 0; i < 6; ++i) {
+        ASSERT_EQ(q.tryPop(out), InjectQueue::PopSource::Ring);
+        EXPECT_EQ(valueOf(out, sink), static_cast<int>(i));
+        // One pop, one freed slot: exactly one task moved back.
+        EXPECT_EQ(q.spillSizeApprox(), 5u - i);
+        EXPECT_EQ(q.drainBacks(), i + 1);
+    }
 
     // Delivery stays exact FIFO to the end.
-    for (int i = 1; i < 8; ++i) {
-        ASSERT_NE(q.tryPop(out, 0), InjectQueue::PopSource::None);
+    for (int i = 6; i < 8; ++i) {
+        ASSERT_EQ(q.tryPop(out), InjectQueue::PopSource::Ring);
         EXPECT_EQ(valueOf(out, sink), i) << "pop " << i;
     }
-    EXPECT_EQ(q.tryPop(out, 0), InjectQueue::PopSource::None);
+    EXPECT_EQ(q.tryPop(out), InjectQueue::PopSource::None);
     EXPECT_EQ(q.spillSizeApprox(), 0u);
-}
-
-TEST(InjectQueue, ConsumerDrainsOwnDomainShardFirst)
-{
-    InjectPolicy policy;
-    policy.shardCapacity = 16;
-    InjectQueue q(policy, 2);
-    ASSERT_EQ(q.numShards(), 2u);
-
-    std::vector<int> sink;
-    // Domain-0 producers push 0-3, domain-1 producers push 10-13.
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(q.push(marker(sink, i), 0),
-                  InjectQueue::PushPath::Ring);
-    for (int i = 10; i < 14; ++i)
-        EXPECT_EQ(q.push(marker(sink, i), 1),
-                  InjectQueue::PushPath::Ring);
-
-    // A domain-1 consumer sees its own shard's tasks first…
-    Task out;
-    for (int i = 10; i < 14; ++i) {
-        ASSERT_EQ(q.tryPop(out, 1),
-                  InjectQueue::PopSource::PreferredShard);
-        EXPECT_EQ(valueOf(out, sink), i);
-    }
-    // …then falls over to the other domain's shard.
-    for (int i = 0; i < 4; ++i) {
-        ASSERT_EQ(q.tryPop(out, 1), InjectQueue::PopSource::OtherShard);
-        EXPECT_EQ(valueOf(out, sink), i);
-    }
-    EXPECT_EQ(q.tryPop(out, 1), InjectQueue::PopSource::None);
 }
 
 TEST(InjectQueueTorture, ExactlyOnceUnderProducersAndConsumers)
@@ -245,9 +175,7 @@ TEST(InjectQueueTorture, ExactlyOnceUnderProducersAndConsumers)
     constexpr int kPerProducer = 2000;
     constexpr int kTotal = kProducers * kPerProducer;
 
-    InjectPolicy policy;
-    policy.shardCapacity = 16;
-    InjectQueue q(policy, 2);
+    InjectQueue q(16);
 
     std::vector<std::atomic<int>> hits(kTotal);
     for (auto &h : hits)
@@ -264,20 +192,18 @@ TEST(InjectQueueTorture, ExactlyOnceUnderProducersAndConsumers)
                     hits[idx].fetch_add(1,
                                         std::memory_order_relaxed);
                 }, nullptr);
-                if (q.push(std::move(t),
-                           static_cast<unsigned>(p))
+                if (q.push(std::move(t))
                     == InjectQueue::PushPath::Spill)
                     spills.fetch_add(1, std::memory_order_relaxed);
             }
         });
     }
     for (int c = 0; c < kConsumers; ++c) {
-        threads.emplace_back([&, c] {
+        threads.emplace_back([&] {
             Task out;
             while (delivered.load(std::memory_order_acquire)
                    < kTotal) {
-                if (q.tryPop(out, static_cast<unsigned>(c))
-                    != InjectQueue::PopSource::None) {
+                if (q.tryPop(out) != InjectQueue::PopSource::None) {
                     out.body();
                     delivered.fetch_add(1,
                                         std::memory_order_release);
@@ -293,7 +219,7 @@ TEST(InjectQueueTorture, ExactlyOnceUnderProducersAndConsumers)
     EXPECT_EQ(delivered.load(), kTotal);
     for (int i = 0; i < kTotal; ++i)
         ASSERT_EQ(hits[i].load(), 1) << "task " << i;
-    // With 16-slot shards and 2000-task producers the ring must have
+    // With a 16-slot ring and 2000-task producers the ring must have
     // overflowed at least once — otherwise the spill path was not
     // actually exercised.
     EXPECT_GT(spills.load(), 0u);
@@ -387,12 +313,12 @@ TEST(Submit, WorkerThreadSubmissionUsesDeque)
 
 TEST(InjectPath, BurstAccountsFastPathSpillAndDrain)
 {
-    // Force spillover with a tiny shard so all three outcome
+    // Force spillover with a tiny ring so all three outcome
     // counters move, then check they reconcile: every injected task
     // went ring or spill, and every one was drained exactly once
     // (the drain histogram sums to the injected count).
     auto cfg = config(4);
-    cfg.inject.shardCapacity = 8;
+    cfg.injectCapacity = 8;
     Runtime rt(cfg);
 
     constexpr int kTasks = 512;
@@ -414,7 +340,6 @@ TEST(InjectPath, BurstAccountsFastPathSpillAndDrain)
          ++b)
         drained += s.injectDrain[b];
     EXPECT_EQ(drained, s.injected);
-    EXPECT_LE(s.injectShardHits, drained);
     EXPECT_EQ(s.injectFastFraction(),
               static_cast<double>(s.injectFastPath)
                   / static_cast<double>(kTasks));
@@ -422,7 +347,7 @@ TEST(InjectPath, BurstAccountsFastPathSpillAndDrain)
 
 TEST(InjectPath, SustainedOverflowDrainsBackAndAccountsEveryTask)
 {
-    // Sustained overflow of a tiny shard: the spill must engage, the
+    // Sustained overflow of a tiny ring: the spill must engage, the
     // opportunistic drain-back must move spilled tasks back into the
     // ring (the FIFO-recovery ROADMAP item), and the existing drain
     // accounting must still reconcile — the injectDrain histogram
@@ -430,7 +355,7 @@ TEST(InjectPath, SustainedOverflowDrainsBackAndAccountsEveryTask)
     // regardless of which of the three storages (ring, spill,
     // drained-back ring slot) it traversed.
     auto cfg = config(2);
-    cfg.inject.shardCapacity = 4;
+    cfg.injectCapacity = 4;
     Runtime rt(cfg);
 
     constexpr int kProducers = 2;
@@ -462,7 +387,7 @@ TEST(InjectPath, SustainedOverflowDrainsBackAndAccountsEveryTask)
     const auto s = rt.stats();
     EXPECT_EQ(s.injected, static_cast<uint64_t>(kTotal));
     EXPECT_EQ(s.injectFastPath + s.injectSpill, s.injected);
-    // A 4-slot shard under 2000 offered tasks must have spilled, and
+    // A 4-slot ring under 2000 offered tasks must have spilled, and
     // ring pops with a non-empty spill must have drained some back.
     EXPECT_GT(s.injectSpill, 0u);
     EXPECT_GT(s.injectDrainBack, 0u);
@@ -479,11 +404,11 @@ TEST(InjectPath, SustainedOverflowDrainsBackAndAccountsEveryTask)
 TEST(InjectPath, MultiProducerSubmitTortureDeliversExactlyOnce)
 {
     // External producer threads hammer submit()-style injection into
-    // a small-shard runtime while the workers drain: the runtime
+    // a small-ring runtime while the workers drain: the runtime
     // analogue of the raw queue torture, crossing the full
     // inject → popInjected → execute → TaskGroup path.
     auto cfg = config(4);
-    cfg.inject.shardCapacity = 8;
+    cfg.injectCapacity = 8;
     Runtime rt(cfg);
 
     constexpr int kProducers = 4;
@@ -515,52 +440,4 @@ TEST(InjectPath, MultiProducerSubmitTortureDeliversExactlyOnce)
     const auto s = rt.stats();
     EXPECT_EQ(s.injected, static_cast<uint64_t>(kTotal));
     EXPECT_EQ(s.injectFastPath + s.injectSpill, s.injected);
-}
-
-TEST(InjectPath, LegacyReplayMatchesLockFreeDelivery)
-{
-    // useLockFreeInject = false must replay the mutex-queue
-    // behavior: identical delivery guarantees, zero ring-path
-    // counters, and the same externally observable results as the
-    // lock-free configuration on the same workload.
-    constexpr int kTasks = 256;
-    uint64_t executed[2] = {0, 0};
-    int done_count[2] = {0, 0};
-
-    for (const bool lock_free : {false, true}) {
-        auto cfg = config(4);
-        cfg.inject.useLockFreeInject = lock_free;
-        Runtime rt(cfg);
-
-        std::atomic<int> done{0};
-        TaskGroup group(rt);
-        for (int i = 0; i < kTasks; ++i) {
-            group.run([&] {
-                done.fetch_add(1, std::memory_order_relaxed);
-            });
-        }
-        group.wait();
-
-        const auto s = rt.stats();
-        done_count[lock_free] = done.load();
-        executed[lock_free] = s.executed;
-        EXPECT_EQ(s.injected, static_cast<uint64_t>(kTasks));
-        if (lock_free) {
-            EXPECT_EQ(s.injectFastPath + s.injectSpill, s.injected);
-        } else {
-            // The legacy queue never touches the ring or the spill.
-            EXPECT_EQ(s.injectFastPath, 0u);
-            EXPECT_EQ(s.injectSpill, 0u);
-            EXPECT_EQ(s.injectShardHits, 0u);
-        }
-        // Both paths feed the same drain accounting.
-        uint64_t drained = 0;
-        for (unsigned b = 0;
-             b < runtime::RuntimeStats::kInjectDrainBuckets; ++b)
-            drained += s.injectDrain[b];
-        EXPECT_EQ(drained, s.injected);
-    }
-    EXPECT_EQ(done_count[0], kTasks);
-    EXPECT_EQ(done_count[1], kTasks);
-    EXPECT_EQ(executed[0], executed[1]);
 }

@@ -44,8 +44,7 @@ TEST(ScenarioConfig, MinimalDocumentResolvesDefaults)
     EXPECT_EQ(r.config.name, "x");
     EXPECT_EQ(r.config.kind, ScenarioKind::kForkJoin);
     EXPECT_EQ(r.config.runtime.workers, 2u);
-    EXPECT_EQ(r.config.runtime.dequeImpl, "chaselev");
-    EXPECT_TRUE(r.config.runtime.lockFreeInject);
+    EXPECT_TRUE(r.config.runtime.stealHalf);
     EXPECT_EQ(r.config.forkJoin.tasks, 256u);
     EXPECT_TRUE(r.config.thresholds.empty());
 }
@@ -57,6 +56,29 @@ TEST(ScenarioConfig, UnknownKeyIsRejectedWithPointer)
     ASSERT_FALSE(r.ok);
     EXPECT_NE(joined(r).find("/bogus"), std::string::npos)
         << joined(r);
+}
+
+TEST(ScenarioConfig, RetiredRuntimeKeysAreRejectedWithPointer)
+{
+    // The deque protocol and the inject queue each have one
+    // implementation, so their former selector keys are unknown keys
+    // like any other — never silently ignored.
+    const ScenarioLoadResult deque = parseScenario(
+        R"({"name": "x", "kind": "serve",
+            "runtime": {"workers": 3, "deque": "the"},
+            "serve": {"rate_per_sec": 500}})");
+    ASSERT_FALSE(deque.ok);
+    EXPECT_NE(joined(deque).find("/runtime/deque"), std::string::npos)
+        << joined(deque);
+
+    const ScenarioLoadResult inject = parseScenario(
+        R"({"name": "x", "kind": "serve",
+            "runtime": {"workers": 2, "lock_free_inject": false},
+            "serve": {"rate_per_sec": 100}})");
+    ASSERT_FALSE(inject.ok);
+    EXPECT_NE(joined(inject).find("/runtime/lock_free_inject"),
+              std::string::npos)
+        << joined(inject);
 }
 
 TEST(ScenarioConfig, NestedTypeErrorNamesTheExactKey)
@@ -134,7 +156,7 @@ TEST(ScenarioConfig, CanonicalEchoIsAFixpoint)
 {
     const ScenarioLoadResult first = parseScenario(
         R"({"name": "x", "kind": "serve", "seed": 9,
-            "runtime": {"workers": 3, "deque": "the"},
+            "runtime": {"workers": 3, "steal_half": false},
             "serve": {"rate_per_sec": 500},
             "thresholds": {"shed": {"direction": "lower"}}})");
     ASSERT_TRUE(first.ok) << joined(first);
@@ -157,8 +179,8 @@ seedDocument()
 {
     const ScenarioLoadResult base = parseScenario(
         R"({"name": "fuzz_seed", "kind": "serve",
-            "runtime": {"workers": 2, "deque": "the",
-                        "lock_free_inject": false},
+            "runtime": {"workers": 2, "steal_half": false,
+                        "parking": false},
             "serve": {"rate_per_sec": 100, "duration_sec": 0.1},
             "thresholds": {
               "completed_eq_accepted": {"direction": "higher"},

@@ -133,8 +133,8 @@ TEST(SubmitHandle, ConcurrentWaitersSeeExactlyOneException)
     }
     for (std::thread &t : waiters)
         t.join();
-    // The error swap under the group mutex hands the exception to
-    // exactly one waiter; the rest return clean.
+    // The CAS on the error slot hands the exception to exactly one
+    // waiter; the rest return clean.
     EXPECT_EQ(rethrown.load(), 1);
 }
 
@@ -159,4 +159,63 @@ TEST(SubmitHandle, DroppingAfterExceptionCountsInsteadOfCrashing)
     EXPECT_THROW(waited.wait(), std::runtime_error);
     waited = runtime::SubmitHandle();
     EXPECT_EQ(rt.droppedHandleErrors(), before + 1);
+}
+
+// ------------------------------------------------------------------
+// Completion-race regressions: the last finisher must never touch a
+// TaskGroup after its decrement to zero, because the waiter may have
+// returned and destroyed (or, on the stack, reused) the group by
+// then. Both loops below churn exactly that window thousands of
+// times; under ASan (with detect_stack_use_after_return for the
+// stack case) a touch after free is a hard failure, and without a
+// sanitizer it shows up as a crash or a hang on a corrupted lock.
+
+namespace {
+
+RuntimeConfig
+twoWorkers()
+{
+    RuntimeConfig cfg;
+    cfg.numWorkers = 2;
+    return cfg;
+}
+
+} // namespace
+
+TEST(TaskGroupCompletion, BackToBackRunRootsOfASmallForkJoin)
+{
+    // Each root waits on a stack TaskGroup on a worker (help-first
+    // waiter spinning on the counter) while the other worker steals
+    // and finishes children; Runtime::run then tears the root's own
+    // stack group down as soon as the root completes.
+    Runtime rt(twoWorkers());
+    constexpr int kRoots = 100000;
+    constexpr int kLeaves = 4;
+    std::atomic<long> leaves{0};
+    for (int r = 0; r < kRoots; ++r) {
+        rt.run([&] {
+            TaskGroup g(rt);
+            for (int i = 0; i < kLeaves; ++i) {
+                g.run([&] {
+                    leaves.fetch_add(1, std::memory_order_relaxed);
+                });
+            }
+            g.wait();
+        });
+    }
+    EXPECT_EQ(leaves.load(), static_cast<long>(kRoots) * kLeaves);
+}
+
+TEST(TaskGroupCompletion, HandlesDroppedRightAfterSubmit)
+{
+    // The temporary handle is released at the end of each statement:
+    // its deleter waits on the heap group and frees it the moment the
+    // count reaches zero, racing the finisher's wake-up.
+    Runtime rt(twoWorkers());
+    constexpr int kSubmits = 100000;
+    std::atomic<long> ran{0};
+    for (int i = 0; i < kSubmits; ++i)
+        rt.submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
+    EXPECT_EQ(ran.load(), kSubmits);
+    EXPECT_EQ(rt.droppedHandleErrors(), 0u);
 }
