@@ -5,9 +5,16 @@
  * operations. This quantifies overhead source (2) of Section 3.4
  * (online profiling) and the bookkeeping around (1) (DVFS calls are
  * counted but the backend here is in-memory).
+ *
+ * benchPushPopHooksParallel is the contention case: four threads,
+ * each driving push/pop hooks on its own worker id at once, as the
+ * threaded runtime does. The single-threaded cases cannot see lock
+ * sharing between workers; this one can.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "core/tempo_controller.hpp"
 #include "dvfs/simulated.hpp"
@@ -58,6 +65,28 @@ benchPushPopHooks(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 32);
 }
 
+/** One shared controller; thread i drives worker i. */
+void
+benchPushPopHooksParallel(benchmark::State &state)
+{
+    static std::unique_ptr<Fixture> shared;
+    if (state.thread_index() == 0)
+        shared = std::make_unique<Fixture>(core::TempoPolicy::Unified);
+    // The timed loop starts only once every thread reaches it, so
+    // thread 0's setup above is complete before any hook runs.
+    const auto self = static_cast<core::WorkerId>(state.thread_index());
+    double now = 0.0;
+    for (auto _ : state) {
+        for (size_t size = 1; size <= 16; ++size)
+            shared->controller.onPush(self, size, now += 1e-7);
+        for (size_t size = 16; size-- > 0;)
+            shared->controller.onPopSuccess(self, size, now += 1e-7);
+    }
+    state.SetItemsProcessed(state.iterations() * 32);
+    if (state.thread_index() == 0)
+        shared.reset();
+}
+
 void
 benchStealHooks(benchmark::State &state)
 {
@@ -92,6 +121,7 @@ benchRelayChain(benchmark::State &state)
 // Arg: TempoPolicy (0 Baseline, 1 WorkpathOnly, 2 WorkloadOnly,
 // 3 Unified)
 BENCHMARK(benchPushPopHooks)->Arg(0)->Arg(2)->Arg(3);
+BENCHMARK(benchPushPopHooksParallel)->Threads(4)->UseRealTime();
 BENCHMARK(benchStealHooks)->Arg(0)->Arg(1)->Arg(3);
 BENCHMARK(benchRelayChain);
 

@@ -5,44 +5,10 @@
 namespace hermes::core {
 
 ImmediacyList::ImmediacyList(unsigned num_workers)
-    : next_(num_workers, invalidWorker),
-      prev_(num_workers, invalidWorker)
+    : next_(num_workers), prev_(num_workers)
 {
     HERMES_ASSERT(num_workers > 0, "need at least one worker");
-}
-
-void
-ImmediacyList::validate(WorkerId w) const
-{
-    HERMES_ASSERT(w < next_.size(), "worker " << w << " out of range");
-}
-
-WorkerId
-ImmediacyList::nextOf(WorkerId w) const
-{
-    validate(w);
-    return next_[w];
-}
-
-WorkerId
-ImmediacyList::prevOf(WorkerId w) const
-{
-    validate(w);
-    return prev_[w];
-}
-
-bool
-ImmediacyList::linked(WorkerId w) const
-{
-    validate(w);
-    return next_[w] != invalidWorker || prev_[w] != invalidWorker;
-}
-
-bool
-ImmediacyList::isHead(WorkerId w) const
-{
-    validate(w);
-    return prev_[w] == invalidWorker && next_[w] != invalidWorker;
+    clear();
 }
 
 void
@@ -54,41 +20,27 @@ ImmediacyList::insertAfter(WorkerId v, WorkerId w)
     HERMES_ASSERT(!linked(w),
                   "thief " << w << " must be unlinked before insert");
 
-    const WorkerId old_next = next_[v];
+    const WorkerId old_next = load(next_[v]);
     if (old_next != invalidWorker) {
-        next_[w] = old_next;
-        prev_[old_next] = w;
+        store(next_[w], old_next);
+        store(prev_[old_next], w);
     }
-    next_[v] = w;
-    prev_[w] = v;
+    store(next_[v], w);
+    store(prev_[w], v);
 }
 
 void
 ImmediacyList::unlink(WorkerId w)
 {
     validate(w);
-    const WorkerId p = prev_[w];
-    const WorkerId n = next_[w];
+    const WorkerId p = load(prev_[w]);
+    const WorkerId n = load(next_[w]);
     if (p != invalidWorker)
-        next_[p] = n;
+        store(next_[p], n);
     if (n != invalidWorker)
-        prev_[n] = p;
-    next_[w] = invalidWorker;
-    prev_[w] = invalidWorker;
-}
-
-void
-ImmediacyList::forEachDownstream(
-    WorkerId w, const std::function<void(WorkerId)> &fn) const
-{
-    validate(w);
-    unsigned guard = 0;
-    for (WorkerId cur = next_[w]; cur != invalidWorker;
-         cur = next_[cur]) {
-        HERMES_ASSERT(++guard <= next_.size(),
-                      "cycle detected in immediacy list");
-        fn(cur);
-    }
+        store(prev_[n], p);
+    store(next_[w], invalidWorker);
+    store(prev_[w], invalidWorker);
 }
 
 unsigned
@@ -103,25 +55,27 @@ void
 ImmediacyList::clear()
 {
     for (auto &n : next_)
-        n = invalidWorker;
+        store(n, invalidWorker);
     for (auto &p : prev_)
-        p = invalidWorker;
+        store(p, invalidWorker);
 }
 
 void
 ImmediacyList::checkInvariants() const
 {
     for (WorkerId w = 0; w < next_.size(); ++w) {
-        if (next_[w] != invalidWorker) {
-            HERMES_ASSERT(next_[w] < next_.size(),
+        const WorkerId n = load(next_[w]);
+        const WorkerId p = load(prev_[w]);
+        if (n != invalidWorker) {
+            HERMES_ASSERT(n < next_.size(),
                           "dangling next pointer at worker " << w);
-            HERMES_ASSERT(prev_[next_[w]] == w,
+            HERMES_ASSERT(load(prev_[n]) == w,
                           "next/prev asymmetry at worker " << w);
         }
-        if (prev_[w] != invalidWorker) {
-            HERMES_ASSERT(prev_[w] < next_.size(),
+        if (p != invalidWorker) {
+            HERMES_ASSERT(p < next_.size(),
                           "dangling prev pointer at worker " << w);
-            HERMES_ASSERT(next_[prev_[w]] == w,
+            HERMES_ASSERT(load(next_[p]) == w,
                           "prev/next asymmetry at worker " << w);
         }
         // Cycle check: walking downstream must terminate.

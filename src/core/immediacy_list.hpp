@@ -10,17 +10,21 @@
  *
  * Implemented over dense arrays rather than pointer nodes: workers are
  * a small fixed population and the controller indexes them constantly.
- * Not internally synchronized — the tempo controller serializes
- * structural access under its own lock.
+ * Not internally synchronized — the tempo controller serializes every
+ * mutation under its list lock. The links are atomics so that reads
+ * (nextOf, prevOf, linked, isHead) may also run without that lock:
+ * every access is a relaxed load or store, so an unlocked reader sees
+ * each link either before or after a concurrent splice, never torn.
  */
 
 #ifndef HERMES_CORE_IMMEDIACY_LIST_HPP
 #define HERMES_CORE_IMMEDIACY_LIST_HPP
 
-#include <functional>
+#include <atomic>
 #include <vector>
 
 #include "core/worker_id.hpp"
+#include "util/assert.hpp"
 
 namespace hermes::core {
 
@@ -36,15 +40,32 @@ class ImmediacyList
         return static_cast<unsigned>(next_.size());
     }
 
-    WorkerId nextOf(WorkerId w) const;
-    WorkerId prevOf(WorkerId w) const;
+    WorkerId nextOf(WorkerId w) const
+    {
+        validate(w);
+        return load(next_[w]);
+    }
+
+    WorkerId prevOf(WorkerId w) const
+    {
+        validate(w);
+        return load(prev_[w]);
+    }
 
     /** Whether `w` belongs to any chain. */
-    bool linked(WorkerId w) const;
+    bool linked(WorkerId w) const
+    {
+        return nextOf(w) != invalidWorker
+            || prevOf(w) != invalidWorker;
+    }
 
     /** Whether `w` heads a chain (has a successor but no
      * predecessor). */
-    bool isHead(WorkerId w) const;
+    bool isHead(WorkerId w) const
+    {
+        return prevOf(w) == invalidWorker
+            && nextOf(w) != invalidWorker;
+    }
 
     /**
      * Insert thief `w` immediately after victim `v` (Figure 5 lines
@@ -70,9 +91,18 @@ class ImmediacyList
      * (w.next, w.next.next, ...) — the immediacy-relay walk
      * (Figure 5 lines 7-10).
      */
-    void forEachDownstream(WorkerId w,
-                           const std::function<void(WorkerId)> &fn)
-        const;
+    template <typename Fn>
+    void forEachDownstream(WorkerId w, Fn &&fn) const
+    {
+        validate(w);
+        unsigned guard = 0;
+        for (WorkerId cur = load(next_[w]); cur != invalidWorker;
+             cur = load(next_[cur])) {
+            HERMES_ASSERT(++guard <= next_.size(),
+                          "cycle detected in immediacy list");
+            fn(cur);
+        }
+    }
 
     /** Number of workers downstream of `w`. */
     unsigned downstreamCount(WorkerId w) const;
@@ -87,10 +117,24 @@ class ImmediacyList
     void checkInvariants() const;
 
   private:
-    void validate(WorkerId w) const;
+    void validate(WorkerId w) const
+    {
+        HERMES_ASSERT(w < next_.size(),
+                      "worker " << w << " out of range");
+    }
 
-    std::vector<WorkerId> next_;
-    std::vector<WorkerId> prev_;
+    static WorkerId load(const std::atomic<WorkerId> &link)
+    {
+        return link.load(std::memory_order_relaxed);
+    }
+
+    static void store(std::atomic<WorkerId> &link, WorkerId to)
+    {
+        link.store(to, std::memory_order_relaxed);
+    }
+
+    std::vector<std::atomic<WorkerId>> next_;
+    std::vector<std::atomic<WorkerId>> prev_;
 };
 
 } // namespace hermes::core

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <thread>
+
 #include "core/tempo_controller.hpp"
 #include "dvfs/simulated.hpp"
 #include "platform/frequency.hpp"
+#include "util/rng.hpp"
 
 using namespace hermes;
 using core::TempoConfig;
@@ -279,3 +283,74 @@ INSTANTIATE_TEST_SUITE_P(
                     std::vector<platform::FreqMhz>{2400, 1900, 1600},
                     std::vector<platform::FreqMhz>{2400, 2200, 1900,
                                                    1600, 1400}));
+
+/**
+ * Per-worker slots under real concurrency: each thread owns one
+ * worker id and drives push/pop runs on it, interleaved with seeded
+ * steals, victim-side updates and out-of-work hunts against the
+ * others — the cross-worker writes that take another worker's slot
+ * lock or the list lock. The end state must still be a well-formed
+ * list, on-ladder tempos the backend agrees with, and exact counts.
+ */
+TEST(TempoControllerConcurrent, OwnerHooksRaceCrossWorkerEvents)
+{
+    constexpr unsigned kThreads = 4;
+    constexpr int kRounds = 4000;
+    const std::vector<platform::FreqMhz> rungs{2400, 1900, 1600};
+    auto cfg = Rig::makeConfig(TempoPolicy::Unified, rungs, 2);
+    cfg.profilerWindow = 64;  // let thresholds move mid-run
+    SimulatedDvfs backend(kThreads, FrequencyLadder(rungs));
+    TempoController c(cfg, backend, kThreads, [](core::WorkerId w) {
+        return static_cast<platform::DomainId>(w);
+    });
+    c.reset(0.0);
+
+    std::vector<uint64_t> steals(kThreads, 0);
+    std::vector<uint64_t> hunts(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (core::WorkerId self = 0; self < kThreads; ++self) {
+        threads.emplace_back([&, self] {
+            util::Rng rng(util::mix64(14, self));
+            for (int round = 0; round < kRounds; ++round) {
+                const auto depth =
+                    static_cast<size_t>(rng.uniformInt(1, 8));
+                for (size_t size = 1; size <= depth; ++size)
+                    c.onPush(self, size, 0.0);
+                for (size_t size = depth; size-- > 0;)
+                    c.onPopSuccess(self, size, 0.0);
+                const auto other = static_cast<core::WorkerId>(
+                    (self + rng.uniformInt(1, kThreads - 1))
+                    % kThreads);
+                switch (rng.uniformInt(0, 2)) {
+                case 0:
+                    c.onVictimStolen(
+                        other, static_cast<size_t>(rng.uniformInt(0, 4)),
+                        0.0);
+                    break;
+                case 1:
+                    c.onStealSuccess(self, other, 0.0);
+                    ++steals[self];
+                    break;
+                default:
+                    c.onOutOfWork(self, 0.0);
+                    ++hunts[self];
+                    break;
+                }
+            }
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+
+    c.immediacyList().checkInvariants();
+    for (core::WorkerId w = 0; w < kThreads; ++w) {
+        EXPECT_LT(c.tempoOf(w), c.ladder().size()) << "worker " << w;
+        EXPECT_EQ(c.frequencyOf(w), backend.domainFreq(w))
+            << "worker " << w;
+    }
+    const auto k = c.counters();
+    EXPECT_EQ(k.stealDowns,
+              std::accumulate(steals.begin(), steals.end(), 0ull));
+    EXPECT_EQ(k.outOfWorkEvents,
+              std::accumulate(hunts.begin(), hunts.end(), 0ull));
+}
