@@ -5,16 +5,23 @@
  * bench-local mutex-guarded std::deque — the structure the ring
  * replaced — as a reference: with one producer the two are
  * comparable; from two producers up the mutex queue serializes while
- * the ring scales (docs/ARCHITECTURE.md, "The inject path").
+ * the ring scales (docs/ARCHITECTURE.md, "The inject path"). The
+ * hold benchmark measures what a held submission costs: the submit
+ * call and the heap bytes each retained handle keeps alive.
  */
 
 #include <atomic>
+#include <chrono>
 #include <deque>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include <benchmark/benchmark.h>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "runtime/inject_queue.hpp"
 #include "runtime/scheduler.hpp"
@@ -142,6 +149,76 @@ benchSubmitThroughput(benchmark::State &state)
                             * kPerProducer);
 }
 
+/** Heap bytes in use across all malloc arenas (chunk headers and
+ * size-class rounding included); 0 where glibc is absent. */
+size_t
+heapBytesInUse()
+{
+#if defined(__GLIBC__)
+    return mallinfo2().uordblks;
+#else
+    return 0;
+#endif
+}
+
+/**
+ * The submit path as a serving front end uses it: one external
+ * thread calls `Runtime::submit` N times and keeps every handle, then
+ * waits on and drops them all. Only the submit loop is timed
+ * (`ns_per_submit`); `heap_bytes_per_handle` is the growth of the
+ * heap's in-use bytes across that loop over N — what each retained
+ * submission costs in malloc chunks. The handle vector is reserved
+ * before the baseline read, and the ring holds N tasks, so neither
+ * it nor a spill allocates inside the window. Needs glibc for the
+ * heap counter (it reads 0 elsewhere).
+ * Arg: N.
+ */
+void
+benchSubmitHold(benchmark::State &state)
+{
+    const auto n = static_cast<size_t>(state.range(0));
+
+    runtime::RuntimeConfig cfg;
+    cfg.numWorkers = 3;
+    cfg.injectCapacity = n;
+    runtime::Runtime rt(cfg);
+
+    std::vector<runtime::SubmitHandle> held;
+    std::atomic<uint64_t> sink{0};
+    double submit_ns = 0.0;
+    double heap_bytes = 0.0;
+    for (auto _ : state) {
+        held.reserve(n);
+        const size_t heap_before = heapBytesInUse();
+        const auto start = std::chrono::steady_clock::now();
+        for (size_t i = 0; i < n; ++i) {
+            held.push_back(rt.submit([&sink] {
+                sink.fetch_add(1, std::memory_order_relaxed);
+            }));
+        }
+        const std::chrono::duration<double> elapsed =
+            std::chrono::steady_clock::now() - start;
+        heap_bytes += static_cast<double>(heapBytesInUse())
+            - static_cast<double>(heap_before);
+        state.SetIterationTime(elapsed.count());
+        submit_ns += elapsed.count() * 1e9;
+
+        for (runtime::SubmitHandle &h : held)
+            h.wait();
+        held.clear();
+    }
+    benchmark::DoNotOptimize(sink.load());
+
+    const double submits =
+        static_cast<double>(state.iterations()) * static_cast<double>(n);
+    state.counters["ns_per_submit"] =
+        benchmark::Counter(submit_ns / submits);
+    state.counters["heap_bytes_per_handle"] =
+        benchmark::Counter(heap_bytes / submits);
+    state.SetItemsProcessed(state.iterations()
+                            * static_cast<int64_t>(n));
+}
+
 } // namespace
 
 // Args: {producers, useRing}; each producer count pairs the ring
@@ -155,5 +232,8 @@ BENCHMARK(benchRawInject)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(benchSubmitThroughput)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
+// Arg: N held submissions; the iteration time is the submit loop.
+BENCHMARK(benchSubmitHold)->Arg(1 << 16)
+    ->Unit(benchmark::kMillisecond)->UseManualTime();
 
 BENCHMARK_MAIN();

@@ -15,21 +15,10 @@
 #ifndef HERMES_DVFS_BACKEND_HPP
 #define HERMES_DVFS_BACKEND_HPP
 
-#include <vector>
-
 #include "platform/frequency.hpp"
 #include "platform/topology.hpp"
 
 namespace hermes::dvfs {
-
-/** One recorded frequency change. */
-struct Transition
-{
-    double time;                 ///< caller-supplied timestamp (s)
-    platform::DomainId domain;   ///< affected clock domain
-    platform::FreqMhz fromMhz;   ///< previous frequency
-    platform::FreqMhz toMhz;     ///< requested frequency
-};
 
 /** Abstract per-clock-domain frequency control. */
 class DvfsBackend

@@ -25,7 +25,7 @@ SimulatedDvfs::domainFreq(platform::DomainId domain) const
 
 void
 SimulatedDvfs::setDomainFreq(platform::DomainId domain,
-                             platform::FreqMhz freq_mhz, double now)
+                             platform::FreqMhz freq_mhz, double)
 {
     HERMES_ASSERT(ladder_.contains(freq_mhz),
                   freq_mhz << " MHz is not a ladder rung");
@@ -34,7 +34,7 @@ SimulatedDvfs::setDomainFreq(platform::DomainId domain,
                   "domain " << domain << " out of range");
     if (freqs_[domain] == freq_mhz)
         return;
-    timeline_.push_back({now, domain, freqs_[domain], freq_mhz});
+    ++transitions_;
     freqs_[domain] = freq_mhz;
 }
 
@@ -42,14 +42,7 @@ size_t
 SimulatedDvfs::transitionCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return timeline_.size();
-}
-
-std::vector<Transition>
-SimulatedDvfs::timeline() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return timeline_;
+    return transitions_;
 }
 
 void
@@ -60,7 +53,7 @@ SimulatedDvfs::reset(platform::FreqMhz freq_mhz)
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto &f : freqs_)
         f = freq_mhz;
-    timeline_.clear();
+    transitions_ = 0;
 }
 
 } // namespace hermes::dvfs

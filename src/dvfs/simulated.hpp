@@ -5,10 +5,11 @@
  * Substitutes for the per-core DVFS hardware of the paper's AMD
  * systems (see docs/ENERGY_MODEL.md). Maintains per-domain
  * frequency state,
- * validates requests against the ladder, counts transitions, and
- * records the full transition timeline so the energy ledger can
- * integrate power exactly. Thread-safe: the threaded runtime issues
- * requests from many workers.
+ * validates requests against the ladder and counts transitions.
+ * Only the count is kept: a runtime changes frequency hundreds of
+ * times per fork-join root, so a recorded timeline would grow for
+ * the whole life of the Runtime. Thread-safe: the threaded runtime
+ * issues requests from many workers.
  */
 
 #ifndef HERMES_DVFS_SIMULATED_HPP
@@ -22,7 +23,7 @@
 
 namespace hermes::dvfs {
 
-/** In-memory DVFS with transition recording. */
+/** In-memory DVFS with a transition count. */
 class SimulatedDvfs : public DvfsBackend
 {
   public:
@@ -54,10 +55,7 @@ class SimulatedDvfs : public DvfsBackend
     /** Total accepted (non-redundant) transitions so far. */
     size_t transitionCount() const;
 
-    /** Copy of the recorded transition timeline, in request order. */
-    std::vector<Transition> timeline() const;
-
-    /** Reset all domains to `freq_mhz` and clear the timeline. */
+    /** Reset all domains to `freq_mhz` and zero the count. */
     void reset(platform::FreqMhz freq_mhz);
 
   private:
@@ -67,7 +65,7 @@ class SimulatedDvfs : public DvfsBackend
 
     mutable std::mutex mutex_;
     std::vector<platform::FreqMhz> freqs_;
-    std::vector<Transition> timeline_;
+    size_t transitions_ = 0;
 };
 
 /** Backend that ignores requests; the Cilk-Plus-baseline stand-in. */

@@ -19,7 +19,7 @@
  *  - producers never block on the runtime: Runtime::submit() is
  *    non-blocking by contract and every SubmitHandle is *retained*
  *    until end-of-run — dropping one mid-run would run the handle's
- *    draining deleter and silently turn the generator closed-loop;
+ *    release drain and silently turn the generator closed-loop;
  *  - overload is handled by shedding, not back-pressure: each offered
  *    request consults an AdmissionController fed by
  *    Runtime::injectTelemetry(), and shed requests are counted, not

@@ -164,32 +164,11 @@ Runtime::run(TaskFn fn)
 SubmitHandle
 Runtime::submit(TaskFn fn)
 {
-    // The deleter drains the group before destroying it (TaskGroup
-    // asserts nothing is pending at destruction). Putting the drain
-    // there rather than in ~SubmitHandle makes every release path —
-    // destruction, reassignment, reset, racing drops of the last
-    // two copies on different threads — funnel through the
-    // reference count's single atomic release. Task exceptions
-    // surface only through an explicit wait(); the release path
-    // must not throw, so a still-recorded error is swallowed here —
-    // but counted, never lost silently: droppedHandleErrors_ lets a
-    // harness that dropped handles without waiting still assert
-    // nothing failed. (A Runtime outlives its handles by contract,
-    // so capturing `this` is safe.)
-    std::shared_ptr<TaskGroup> group(new TaskGroup(*this),
-                                     [this](TaskGroup *g) {
-                                         try {
-                                             g->wait();
-                                         } catch (...) {
-                                             droppedHandleErrors_
-                                                 .fetch_add(
-                                                     1,
-                                                     std::memory_order_relaxed);
-                                         }
-                                         delete g;
-                                     });
-    group->run(std::move(fn));
-    return SubmitHandle(std::move(group));
+    // The group is the whole submission: its handle count starts at
+    // the one handle returned here (SubmitHandle::release frees it).
+    SubmitHandle handle(new TaskGroup(*this));
+    handle.group_->run(std::move(fn));
+    return handle;
 }
 
 void
@@ -197,6 +176,32 @@ SubmitHandle::wait()
 {
     if (group_)
         group_->wait();
+}
+
+void
+SubmitHandle::release() noexcept
+{
+    TaskGroup *group = std::exchange(group_, nullptr);
+    // acq_rel: the last releaser must see every other copy's uses
+    // (their waits included) before it drains and deletes.
+    if (group == nullptr
+        || group->handleRefs_.fetch_sub(1, std::memory_order_acq_rel)
+            != 1)
+        return;
+    // Drain before delete (TaskGroup asserts nothing is pending at
+    // destruction). Task exceptions surface only through an explicit
+    // wait(); the release path must not throw, so a still-recorded
+    // error is swallowed here — but counted, never lost silently:
+    // droppedHandleErrors_ lets a harness that dropped handles
+    // without waiting still assert nothing failed. (A Runtime
+    // outlives its handles by contract, so rt_ is still alive.)
+    try {
+        group->wait();
+    } catch (...) {
+        group->rt_.droppedHandleErrors_.fetch_add(
+            1, std::memory_order_relaxed);
+    }
+    delete group;
 }
 
 void

@@ -37,6 +37,7 @@
 #include <functional>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/tempo_controller.hpp"
@@ -59,22 +60,25 @@ class Runtime;
  * Waitable handle for an externally submitted task
  * (Runtime::submit).
  *
- * Copies share one completion scope. wait() blocks an external
- * caller on the group's condition variable and lets a worker caller
- * help execute pending work, exactly like TaskGroup::wait — and like
- * it, rethrows the first exception the submitted task threw.
- * Releasing the last reference — destruction, reassignment, or
- * reset, from any thread — drains the group first, so dropping
- * handles never tears down a group with tasks still pending: the
- * drain lives in the shared state's deleter, which the reference
- * count runs exactly once. An exception recorded by the task is
- * swallowed on that release path (the deleter must not throw) but
- * not lost silently: each swallowed error increments
+ * A submission is one heap object, the TaskGroup its task reports
+ * to, and the handle is one intrusive pointer to it: copies bump the
+ * group's handle count, moves steal the pointer, and nothing else is
+ * allocated. wait() blocks an external caller on the group's
+ * completion word and lets a worker caller help execute pending
+ * work, exactly like TaskGroup::wait — and like it, rethrows the
+ * first exception the submitted task threw. Releasing the last
+ * reference — by destruction or reassignment, on any thread, even
+ * in racing drops of the last two copies — drains the group first, so
+ * dropping handles never tears down a group with tasks still
+ * pending: the count's acq_rel decrement hands the drain and the
+ * delete to exactly one releaser. An exception recorded by the task
+ * is swallowed on that release path (a destructor must not throw)
+ * but not lost silently: each swallowed error increments
  * RuntimeStats::droppedHandleErrors, so a harness that drops
  * handles without waiting can still assert nothing failed. Call
  * wait() to observe the exception itself; after wait() has
  * rethrown it once, the error is consumed and later waits (and the
- * deleter) see a clean group. Handles must not outlive their
+ * release drain) see a clean group. Handles must not outlive their
  * Runtime.
  */
 class SubmitHandle
@@ -82,6 +86,29 @@ class SubmitHandle
   public:
     /** Empty handle; wait() is a no-op until assigned. */
     SubmitHandle() = default;
+
+    SubmitHandle(const SubmitHandle &other) noexcept
+        : group_(other.group_)
+    {
+        if (group_ != nullptr)
+            group_->handleRefs_.fetch_add(1, std::memory_order_relaxed);
+    }
+
+    SubmitHandle(SubmitHandle &&other) noexcept
+        : group_(std::exchange(other.group_, nullptr))
+    {}
+
+    /** Copy and move assignment in one: the old submission is
+     * released when `other` goes out of scope, which also makes
+     * self-assignment a no-op. */
+    SubmitHandle &
+    operator=(SubmitHandle other) noexcept
+    {
+        std::swap(group_, other.group_);
+        return *this;
+    }
+
+    ~SubmitHandle() { release(); }
 
     /** Block (or help, from a worker) until the submitted task and
      * everything it transitively spawned under awaited groups has
@@ -94,12 +121,17 @@ class SubmitHandle
   private:
     friend class Runtime;
 
-    explicit SubmitHandle(std::shared_ptr<TaskGroup> group)
-        : group_(std::move(group))
-    {}
+    /** Adopt the count of 1 a freshly submitted group starts with. */
+    explicit SubmitHandle(TaskGroup *group) : group_(group) {}
 
-    std::shared_ptr<TaskGroup> group_;
+    /** Drop this reference; the last one drains and deletes. */
+    void release() noexcept;
+
+    TaskGroup *group_ = nullptr;
 };
+
+static_assert(sizeof(SubmitHandle) == sizeof(void *),
+              "a held submission costs one pointer");
 
 /**
  * O(1) snapshot of the inject path's pressure signals.
@@ -264,6 +296,7 @@ class Runtime
 
   private:
     friend class TaskGroup;
+    friend class SubmitHandle;
 
     struct alignas(64) WorkerState
     {

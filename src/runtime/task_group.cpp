@@ -12,6 +12,8 @@ TaskGroup::~TaskGroup()
     HERMES_ASSERT(pending() == 0,
                   "TaskGroup destroyed with tasks still pending; "
                   "call wait() first");
+    // An error no waiter took (the group was never waited on).
+    delete error_.load(std::memory_order_acquire);
 }
 
 void
@@ -69,28 +71,34 @@ TaskGroup::finish()
 void
 TaskGroup::recordException(std::exception_ptr error)
 {
-    // The first failing task claims the slot; its error_ write is
-    // published to waiters by its own finish() (release), which the
-    // waiter's zero read acquires.
-    int expected = kNoError;
-    if (errorState_.compare_exchange_strong(expected, kRecorded,
-                                            std::memory_order_acq_rel))
-        error_ = std::move(error);
+    // The first failing task installs its box; its write of the box
+    // is published to waiters by its own finish() (release), which
+    // the waiter's zero read acquires. Later errors are dropped, and
+    // the load skips their allocation in the common case.
+    if (error_.load(std::memory_order_relaxed) != nullptr)
+        return;
+    auto *box = new std::exception_ptr(std::move(error));
+    std::exception_ptr *expected = nullptr;
+    if (!error_.compare_exchange_strong(expected, box,
+                                        std::memory_order_acq_rel))
+        delete box;
 }
 
 void
 TaskGroup::rethrowIfError()
 {
-    // Exactly one of several concurrent waiters wins kRecorded →
-    // kTaken; it empties the slot before reopening it, so the others
-    // return normally and a reused group starts clean.
-    int expected = kRecorded;
-    if (!errorState_.compare_exchange_strong(expected, kTaken,
-                                             std::memory_order_acq_rel))
+    // Exactly one of several concurrent waiters takes the box; the
+    // slot is empty again at once, so the others return normally
+    // and a reused group starts clean. The plain load keeps the
+    // error-free wait (every fork-join join) free of a locked RMW.
+    if (error_.load(std::memory_order_acquire) == nullptr)
         return;
-    std::exception_ptr error = std::move(error_);
-    error_ = nullptr;
-    errorState_.store(kNoError, std::memory_order_release);
+    std::exception_ptr *box =
+        error_.exchange(nullptr, std::memory_order_acq_rel);
+    if (box == nullptr)
+        return;
+    std::exception_ptr error = std::move(*box);
+    delete box;
     std::rethrow_exception(error);
 }
 

@@ -14,6 +14,12 @@
  * block on that word with std::atomic::wait. The finisher touches no
  * other member of the group afterwards, because a waiter that sees
  * zero may destroy the group immediately (task_group.cpp).
+ *
+ * A group is 24 bytes, so a heap-allocated one fits glibc's 32-byte
+ * chunk: Runtime::submit allocates exactly one per request and the
+ * SubmitHandle reference count lives inside it (scheduler.hpp). To
+ * stay that small the error slot is one pointer to a boxed
+ * exception, allocated only when a task throws.
  */
 
 #ifndef HERMES_RUNTIME_TASK_GROUP_HPP
@@ -27,6 +33,7 @@
 namespace hermes::runtime {
 
 class Runtime;
+class SubmitHandle;
 
 /** Completion scope for a set of spawned tasks. */
 class TaskGroup
@@ -68,6 +75,7 @@ class TaskGroup
 
   private:
     friend class Runtime;
+    friend class SubmitHandle;
 
     /** Register one more task (before it becomes runnable). */
     void beginTask()
@@ -85,24 +93,25 @@ class TaskGroup
     /** Rethrow a recorded exception, if any, in one caller only. */
     void rethrowIfError();
 
-    /** States of the error slot (errorState_). */
-    enum : int
-    {
-        kNoError = 0,  ///< slot empty
-        kRecorded = 1, ///< a task claimed the slot and wrote error_
-        kTaken = 2     ///< a waiter is moving error_ out to rethrow
-    };
-
     Runtime &rt_;
     /** Spawned-but-unfinished tasks; also the word external waiters
      * block on. `int` so std::atomic::wait maps onto a futex on this
      * very address rather than a shared proxy word. */
     std::atomic<int> pending_{0};
-    /** Claims error_: kNoError → kRecorded by the first failing task,
-     * kRecorded → kTaken by the one waiter that rethrows. */
-    std::atomic<int> errorState_{kNoError};
-    std::exception_ptr error_;
+    /** SubmitHandle copies referring to this group; only a group
+     * made by Runtime::submit is counted (it starts at the one handle
+     * submit returns). Beside pending_ it keeps the group at 24
+     * bytes. */
+    std::atomic<int> handleRefs_{1};
+    /** The first recorded exception, boxed on the heap: null →
+     * box by the first failing task (a loser deletes its own box),
+     * box → null by the one waiter that rethrows. A box nobody took
+     * is freed by the destructor. */
+    std::atomic<std::exception_ptr *> error_{nullptr};
 };
+
+static_assert(sizeof(TaskGroup) == 24,
+              "a submitted TaskGroup must fit one 32-byte heap chunk");
 
 } // namespace hermes::runtime
 

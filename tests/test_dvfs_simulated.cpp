@@ -46,19 +46,17 @@ TEST(SimulatedDvfs, RedundantRequestsAreNotRecorded)
     EXPECT_EQ(b.transitionCount(), 1u);
 }
 
-TEST(SimulatedDvfs, TimelineRecordsTransitions)
+TEST(SimulatedDvfs, CountsTransitionsPerChange)
 {
     auto b = backend();
     b.setDomainFreq(1, 1900, 0.25);
+    EXPECT_EQ(b.transitionCount(), 1u);
+    EXPECT_EQ(b.domainFreq(1), 1900u);
     b.setDomainFreq(1, 1600, 0.75);
-    const auto tl = b.timeline();
-    ASSERT_EQ(tl.size(), 2u);
-    EXPECT_DOUBLE_EQ(tl[0].time, 0.25);
-    EXPECT_EQ(tl[0].domain, 1u);
-    EXPECT_EQ(tl[0].fromMhz, 2400u);
-    EXPECT_EQ(tl[0].toMhz, 1900u);
-    EXPECT_EQ(tl[1].fromMhz, 1900u);
-    EXPECT_EQ(tl[1].toMhz, 1600u);
+    EXPECT_EQ(b.transitionCount(), 2u);
+    EXPECT_EQ(b.domainFreq(1), 1600u);
+    // Other domains are untouched by domain 1's changes.
+    EXPECT_EQ(b.domainFreq(0), 2400u);
 }
 
 TEST(SimulatedDvfs, ResetClearsEverything)

@@ -97,7 +97,9 @@ TEST(StallWatchdog, InjectedStallIsDetectedAndServeRunStillDrains)
     config.arrivals.seed = 0x57a11;
     config.arrivals.ratePerSec = 2000.0;
     config.arrivals.durationSec = 0.3;
-    config.mix = {MixEntry{"spin", 1.0, 10'000}};
+    MixEntry spin;
+    spin.spinNanos = 10'000;
+    config.mix = {spin};
     config.producers = 2;
     config.sampleHz = 200.0;
     config.faults.enabled = true;
